@@ -1,8 +1,9 @@
 """Periodic kernels from Hill's equation
 ==========================================
 
-The discriminant of Hill's equation with potential alpha cos 2x locates the
-periodic spectrum; each 2pi-periodic solution A generates a doubly periodic
+Hill's method splits -d^2/dx^2 - alpha cos 2x into four Fourier tridiagonal
+blocks whose eigenvalues are the periodic spectrum, each certified by the
+discriminant; each 2pi-periodic solution A generates a doubly periodic
 kernel (A(x)A'(y) - A'(x)A(y))/sin(x - y) whose eigenfunctions again solve
 the equation.  With alpha = 0 this machinery reduces to the circular-ensemble
 kernel n sin(n(x-y))/sin(x-y).

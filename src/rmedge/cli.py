@@ -8,9 +8,11 @@ A flat key=value config file can preset flags; explicit flags win.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import time
 
@@ -115,8 +117,10 @@ def _tw_cache_path(args):
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    tag = f"tw_t{args.t:g}_x{args.xmin:g}_{args.xmax:g}_s{args.step:g}_n{args.n}.csv"
-    return os.path.join(cache_dir, tag)
+    # repr keeps every digit of a float; the version retires tables after a
+    # numerics change
+    key = repr((__version__, args.t, args.xmin, args.xmax, args.step, args.n))
+    return os.path.join(cache_dir, f"tw_{hashlib.sha256(key.encode()).hexdigest()}.csv")
 
 
 def _cmd_tw(args):
@@ -140,8 +144,10 @@ def _cmd_tw(args):
     _write_csv(out, ["x", "F_painleve", "F_det", "gap", "w"], rows)
     outputs = [out]
     if cache:
-        with open(out) as src, open(cache, "w") as dst:
-            dst.write(src.read())
+        # a reader never sees a partly written table
+        tmp = f"{cache}.{os.getpid()}.tmp"
+        shutil.copyfile(out, tmp)
+        os.replace(tmp, cache)
         outputs.append(cache)
     _write_manifest(out, "tw", _params(args), wall=time.time() - t0, outputs=outputs)
     print(f"Tracy-Widom table (t={args.t:g}, {xs.size} points) -> {out}")
@@ -164,15 +170,16 @@ def _cmd_hardedge(args):
 
 
 def _cmd_hill(args):
-    from .hill import HillModel, discriminant, periodic_spectrum
+    from .hill import _discriminants_batch, periodic_spectrum
     t0 = time.time()
     spectrum = periodic_spectrum(args.alpha, args.count)
     out = args.out or "hill.csv"
     rows = [("root", lam, tag) for lam, tag in
             zip(spectrum.lambdas, spectrum.period_tags)]
     top = float(spectrum.lambdas[-1]) + 2.0
-    for lam in np.linspace(-abs(args.alpha) - 1.0, top, args.scan_points):
-        rows.append(("scan", lam, _fmt(discriminant(HillModel(args.alpha, lam)))))
+    scan = np.linspace(-abs(args.alpha) - 1.0, top, args.scan_points)
+    rows += [("scan", lam, _fmt(delta))
+             for lam, delta in zip(scan, _discriminants_batch(args.alpha, scan))]
     _write_csv(out, ["kind", "lambda", "tag_or_delta"], rows)
     _write_manifest(out, "hill", _params(args), wall=time.time() - t0, outputs=[out])
     print(f"{args.count} periodic eigenvalues + {args.scan_points} discriminant "

@@ -41,4 +41,5 @@ class WrongPeriodError(RmedgeError):
 
 
 class ResolutionError(RmedgeError):
-    """Root bracketing failed; caller should increase scan density."""
+    """A computed spectrum fails its independent certificate at the required
+    accuracy (for Hill's equation, | |Delta(lambda)| - 2 | at an eigenvalue)."""

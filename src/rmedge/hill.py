@@ -1,14 +1,14 @@
-"""Hill's equation with potential alpha cos(2x): discriminant, periodic
+"""Hill's equation y'' + (lambda + alpha cos 2x) y = 0: discriminant, periodic
 spectrum, infinite-product formula, and the associated periodic kernels.
 
-The discriminant is the trace of the monodromy matrix S(pi) of
-
-    y'' + (lambda + alpha cos 2x) y = 0,    S(0) = I,
-
-and the periodic spectrum consists of the lambda with Delta(lambda)^2 = 4:
-roots of Delta = 2 carry pi-periodic solutions, roots of Delta = -2 carry
-solutions of period 2 pi only.  A 2 pi-periodic solution A built from the
-anti-periodic monodromy eigenvector yields the doubly periodic kernel
+The periodic spectrum is that of -d^2/dx^2 - alpha cos 2x on the 2 pi circle,
+which splits into four symmetric tridiagonal blocks in the orthonormal bases
+cos 2kx, sin 2kx, cos (2k+1)x and sin (2k+1)x (Hill's method, DLMF 28.2): even
+frequencies carry pi-periodic solutions, odd ones solutions of period 2 pi
+only.  The discriminant, the trace of the monodromy matrix S(pi) with
+S(0) = I, is +-2 on that spectrum and certifies every eigenvalue
+independently.  The trigonometric series A of a 2pi-periodic eigenvector
+yields the doubly periodic kernel
 
     W(x, y) = (A(x) A'(y) - A'(x) A(y)) / sin(x - y),
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionError, WrongPeriodError
 from .kernels import KernelSpec
@@ -39,10 +39,11 @@ __all__ = [
     "mathieu_eigencheck",
 ]
 
-# vmax threshold below which an instability gap is numerically closed: the
-# double-precision discriminant cannot resolve narrower gaps (quadratic
-# conditioning), and the paired roots collapse to the extremum of Delta
-_TANGENT_TOL = 2e-9
+# |(|Delta| - 2)| above which a returned eigenvalue fails its certificate
+_CERTIFICATE_TOL = 1e-8
+# the four symmetry classes as (lowest frequency, sine?), sine classes first
+# so that the stable merge lists the sine mode first at exact ties
+_CLASSES = ((2, True), (1, True), (0, False), (1, False))
 
 
 @dataclass(frozen=True)
@@ -128,83 +129,56 @@ class PeriodicSpectrum:
     alpha: float
 
 
-def _lowest_eigenvalue(alpha):
-    # Delta decreases through 2 at lambda_0; bracket by marching right
-    lo = -abs(alpha) - 2.0
-    f = lambda lam: discriminant(HillModel(alpha, lam)) - 2.0
-    flo = f(lo)
-    if flo < 0:
-        raise ResolutionError("failed to bracket the lowest eigenvalue from below")
-    hi = lo + 0.5
-    while f(hi) > 0:
-        hi += 0.5
-        if hi > 4.0 + abs(alpha):
-            raise ResolutionError("failed to bracket the lowest eigenvalue")
-    return brentq(f, hi - 0.5, hi, xtol=1e-12, rtol=8.9e-16)
-
-
-def _gap_pair(alpha, m):
-    """The two periodic eigenvalues flanking the m-th instability gap.
-
-    Locates the extremum of sigma * Delta (sigma = (-1)^m) near m^2 through
-    the root of Delta', then splits into two simple roots when the gap is
-    numerically open.  Closed gaps return the extremum twice.
-    """
-    sigma = 1.0 if m % 2 == 0 else -1.0
-    left = m * m - m + 0.5
-    right = m * m + m + 0.5
-    grid = np.linspace(left, right, 25)
-    vals = sigma * _discriminants_batch(alpha, grid)
-    i = int(np.argmax(vals))
-    blo = grid[max(i - 1, 0)]
-    bhi = grid[min(i + 1, len(grid) - 1)]
-    dlo = discriminant_and_derivative(alpha, blo)[1]
-    dhi = discriminant_and_derivative(alpha, bhi)[1]
-    if np.sign(dlo) == np.sign(dhi):
-        raise ResolutionError(
-            f"could not bracket the discriminant extremum near {m * m}")
-    lam_star = brentq(lambda lam: discriminant_and_derivative(alpha, lam)[1],
-                      blo, bhi, xtol=1e-13, rtol=8.9e-16)
-    vmax = sigma * discriminant(HillModel(alpha, lam_star)) - 2.0
-    if vmax <= _TANGENT_TOL:
-        return lam_star, lam_star
-    f = lambda lam: sigma * discriminant(HillModel(alpha, lam)) - 2.0
-    lo_edge = left
-    while f(lo_edge) > 0:
-        lo_edge -= 0.25
-    hi_edge = right
-    while f(hi_edge) > 0:
-        hi_edge += 0.25
-    r1 = brentq(f, lo_edge, lam_star, xtol=1e-12, rtol=8.9e-16)
-    r2 = brentq(f, lam_star, hi_edge, xtol=1e-12, rtol=8.9e-16)
-    return r1, r2
+def _modes(alpha, count):
+    """The lowest ``count`` eigenvalues of the four blocks, sorted, and per value
+    ``(freqs, sine, coeffs)``; for odd frequencies the eigenfunction with norm
+    sqrt(pi) is sum_j coeffs[j] trig(freqs[j] x), trig = sin if sine else cos."""
+    # frequencies reach about twice the block size, some 30 beyond the highest
+    # one a wanted mode needs, sqrt(lambda + |alpha|) <= count / 2 + sqrt(2 |alpha|)
+    size = count // 4 + int(math.sqrt(abs(alpha) / 2.0)) + 16
+    lams, modes = [], []
+    for first, sine in _CLASSES:
+        freqs = first + 2 * np.arange(size)
+        diag = freqs.astype(float) ** 2
+        off = np.full(size - 1, -0.5 * alpha)
+        if first == 0:
+            off[0] = -alpha / math.sqrt(2.0)  # 1 / sqrt(2 pi) against cos 2x / sqrt(pi)
+        elif first == 1:
+            diag[0] += 0.5 * alpha if sine else -0.5 * alpha
+        w, v = eigh_tridiagonal(diag, off)
+        lams.append(w)
+        modes.extend((freqs, sine, v[:, i]) for i in range(size))
+    lams = np.concatenate(lams)
+    order = np.argsort(lams, kind="stable")[:count]
+    return lams[order], [modes[i] for i in order]
 
 
 def _spectrum_entries(alpha, count):
-    lams = [_lowest_eigenvalue(alpha)]
-    tags = ["pi-periodic"]
-    m = 1
-    while len(lams) < count:
-        r1, r2 = _gap_pair(alpha, m)
-        tag = "2pi-periodic" if m % 2 else "pi-periodic"
-        lams.extend([r1, r2])
-        tags.extend([tag, tag])
-        m += 1
-    return np.array(lams[:count]), tuple(tags[:count])
+    lams, modes = _modes(alpha, count)
+    tags = tuple("2pi-periodic" if freqs[0] % 2 else "pi-periodic"
+                 for freqs, _, _ in modes)
+    return lams, tags
 
 
 def periodic_spectrum(alpha, count):
     """First ``count`` periodic eigenvalues with the interlacing multiplicity.
 
-    Entries beyond the first few gaps of a weak potential sit at numerically
-    closed gaps; their paired values are reported at the gap midpoint, which
-    is exact to ~sqrt(eps) of the gap width.
+    The four Fourier blocks do not couple, so narrow instability gaps split
+    exactly and each period tag is its block's.  One batched integration of the
+    discriminant certifies every entry: ResolutionError is raised when
+    | |Delta(lambda)| - 2 | exceeds 1e-8, as for a truncation that is too small.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if count > 40:
         raise ValueError("count > 40 is outside the supported resolution")
     lams, tags = _spectrum_entries(alpha, count)
+    miss = np.abs(np.abs(_discriminants_batch(alpha, lams)) - 2.0)
+    worst = int(np.argmax(miss))
+    if miss[worst] > _CERTIFICATE_TOL:
+        raise ResolutionError(
+            f"eigenvalue {lams[worst]:.17g} at alpha = {alpha!r} fails the discriminant "
+            f"certificate: ||Delta| - 2| = {miss[worst]:.3e} > {_CERTIFICATE_TOL:g}")
     return PeriodicSpectrum(lambdas=lams, period_tags=tags, alpha=float(alpha))
 
 
@@ -248,48 +222,13 @@ class MathieuKernel:
     spec: KernelSpec = field(repr=False)
 
 
-def _periodic_solution(alpha, lam, n_grid=2048):
-    """A 2pi-periodic solution from the anti-periodic monodromy eigenvector."""
-    S = monodromy(HillModel(alpha, lam))
-    D = S + np.eye(2)
-    if np.abs(D).max() < 1e-6:
-        v = np.array([0.0, 1.0])  # closed gap: sine-like start
-    else:
-        # eigenvector for eigenvalue -1: smallest singular direction of S + I
-        _, _, vt = np.linalg.svd(D)
-        v = vt[-1]
-
-    def rhs(x, y):
-        return [y[1], -(lam + alpha * math.cos(2.0 * x)) * y[0]]
-
-    sol = solve_ivp(rhs, (0.0, 2.0 * math.pi), v, method="DOP853",
-                    rtol=1e-12, atol=1e-14, dense_output=True)
-    xs = np.linspace(0.0, 2.0 * math.pi, n_grid + 1)
-    vals = sol.sol(xs)
-    # normalize ||A||^2 = pi over the period (sin-like convention) and fix sign
-    mass = np.trapezoid(vals[0] ** 2, xs)
-    scale = math.sqrt(math.pi / mass)
-    a, ap = vals[0] * scale, vals[1] * scale
-    anchor = ap[0] if abs(ap[0]) > 1e-8 else a[np.argmax(np.abs(a))]
-    if anchor < 0:
-        a, ap, scale = -a, -ap, -scale
-    dense = sol.sol
-
-    def eval_ab(x):
-        x = np.mod(np.asarray(x, dtype=float), 2.0 * math.pi)
-        shape = x.shape
-        y = dense(x.ravel())
-        return (y[0] * scale).reshape(shape), (y[1] * scale).reshape(shape)
-
-    return xs, a, ap, eval_ab
-
-
 def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
     """Doubly periodic kernel from the 2pi-periodic solution at a spectrum point.
 
     ``spectral_index`` refers to entries of :func:`periodic_spectrum`; indices
-    tagged pi-periodic are refused since the construction needs the
-    anti-periodic Floquet eigenvector.
+    tagged pi-periodic are refused since the construction needs an
+    anti-periodic Floquet solution.  A is the series of the Fourier-block
+    eigenvector, ||A||^2 = pi, with A'(0) > 0, else its largest |A| positive.
     """
     spectrum = periodic_spectrum(alpha, spectral_index + 1)
     tag = spectrum.period_tags[spectral_index]
@@ -298,28 +237,38 @@ def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
             f"spectral index {spectral_index} is {tag}; the kernel needs a "
             "2pi-periodic eigenfunction")
     lam = float(spectrum.lambdas[spectral_index])
-    xs, a, ap, eval_ab = _periodic_solution(alpha, lam, n_grid)
+    freqs, sine, coeffs = _modes(alpha, spectral_index + 1)[1][spectral_index]
+    xs = np.linspace(0.0, 2.0 * math.pi, n_grid + 1)
 
-    def raw(x, y):
-        ax, apx = eval_ab(x)
-        ay_, apy = eval_ab(y)
-        return (ax * apy - apx * ay_) / np.sin(x - y)
+    def series(x):
+        phase = np.multiply.outer(x, freqs)
+        if sine:
+            return np.sin(phase) @ coeffs, np.cos(phase) @ (freqs * coeffs)
+        return np.cos(phase) @ coeffs, -np.sin(phase) @ (freqs * coeffs)
+
+    a, ap = series(xs)
+    anchor = ap[0] if abs(ap[0]) > 1e-8 else a[np.argmax(np.abs(a))]
+    if anchor < 0:
+        coeffs = -coeffs  # read by series() from here on
+        a, ap = -a, -ap
 
     def ev(x, y):
+        # A and A' on the argument vectors, broadcast only in the products
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        ax, apx = series(x)
+        ay, apy = series(y)
         d = np.sin(x - y)
         near = np.abs(d) < 1e-6
-        if not np.any(near):
-            return raw(x, y)
-        # symmetric limit across the removable zeros of sin(x - y), with one
-        # Richardson step in the first argument
-        h = 1e-5
-        k1 = 0.5 * (raw(x + h, y) + raw(x - h, y))
-        k2 = 0.5 * (raw(x + h / 2, y) + raw(x - h / 2, y))
-        lim = (4.0 * k2 - k1) / 3.0
-        far = raw(np.where(near, y + 1.0, x), y)
-        return np.where(near, lim, far)
+        w = np.asarray((ax * apy - apx * ay) / np.where(near, 1.0, d))
+        if np.any(near):
+            # W is pi-periodic in each argument, and on x = y its value is
+            # A'^2 - A A'' = A'^2 + (lambda + alpha cos 2x) A^2
+            shift = math.pi * np.rint((x - y) / math.pi)
+            t = np.broadcast_to(0.5 * (x + y + shift), near.shape)[near]
+            at, apt = series(t)
+            w[near] = apt * apt + (lam + alpha * np.cos(2.0 * t)) * at * at
+        return w
 
     spec = KernelSpec("mathieu", {"alpha": float(alpha), "index": spectral_index},
                       (-math.inf, math.inf), ev)

@@ -92,6 +92,17 @@ class TestTw:
         assert (tmp_path / "first.csv").read_text() \
             == (tmp_path / "second.csv").read_text()
 
+    def test_cache_key_keeps_every_digit(self, tmp_path, monkeypatch):
+        # steps equal to six digits are different grids and different tables
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("RMEDGE_CACHE_DIR", str(cache))
+        for step in ("0.5", "0.5000001"):
+            run(tmp_path, "tw", "--t", "1", "--xmin", "-0.5", "--xmax", "0",
+                "--step", step, "--n", "40", "--out", f"s{step}.csv")
+        assert len(list(cache.iterdir())) == 2
+        assert (tmp_path / "s0.5.csv").read_text() \
+            != (tmp_path / "s0.5000001.csv").read_text()
+
 
 class TestOtherCommands:
     def test_hardedge_report(self, tmp_path):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import mathieu_a, mathieu_b
 
-from rmedge.errors import WrongPeriodError
+from rmedge import hill
+from rmedge.cli import main
+from rmedge.errors import ResolutionError, WrongPeriodError
 from rmedge.hill import (HillModel, PeriodicSpectrum, _spectrum_entries,
                          discriminant, discriminant_and_derivative,
                          mathieu_eigencheck, mathieu_tw_kernel, monodromy,
@@ -99,6 +102,28 @@ class TestPeriodicSpectrum:
             periodic_spectrum(1.0, 0)
         with pytest.raises(ValueError):
             periodic_spectrum(1.0, 41)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_against_scipy_characteristic_values(self, alpha):
+        # y'' + (a - 2q cos 2x) y = 0 with q = -alpha/2: the periodic spectrum
+        # is {a_0..a_20} and {b_1..b_20}, all 40 entries, narrow gaps included
+        q = -alpha / 2
+        want = np.sort([mathieu_a(m, q) for m in range(21)]
+                       + [mathieu_b(m, q) for m in range(1, 21)])[:40]
+        s = periodic_spectrum(alpha, 40)
+        assert np.abs(s.lambdas - want).max() < 1e-10
+
+    def test_certificate_failure_is_typed(self, monkeypatch, tmp_path, capsys):
+        # a discriminant off +-2 at the returned eigenvalues refuses the
+        # spectrum, in the library and in the CLI
+        monkeypatch.setattr(hill, "_discriminants_batch",
+                            lambda alpha, lams: np.full(np.size(lams), 1.5))
+        with pytest.raises(ResolutionError):
+            periodic_spectrum(1.0, 5)
+        monkeypatch.chdir(tmp_path)
+        assert main(["hill", "--alpha", "1", "--count", "5"]) == 1
+        assert "error [ResolutionError]" in capsys.readouterr().err
+        assert not (tmp_path / "hill.csv").exists()
 
     def test_band_structure_sign_scan(self):
         # Delta^2 >= 4 exactly off the bands located by the spectrum
@@ -239,8 +264,9 @@ class TestMathieuEigencheck:
         assert rep["skipped_degenerate"] >= 3
         assert rep["max_residual"] < 1e-8
 
-    def test_mathieu_eigenfunctions_solve_the_equation(self):
-        k = mathieu_tw_kernel(1.0, 1)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_mathieu_eigenfunctions_solve_the_equation(self, alpha):
+        k = mathieu_tw_kernel(alpha, 1)
         rep = mathieu_eigencheck(k, n=256)
         assert len(rep["checks"]) >= 3
         assert rep["max_residual"] < 1e-4
