@@ -28,7 +28,7 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
-def _write_manifest(path, command, params, seed=None, wall=None, outputs=()):
+def _write_manifest(path, command, params, seed=None, wall=None, outputs=(), **extra):
     manifest = {
         "command": command,
         "parameters": params,
@@ -36,6 +36,7 @@ def _write_manifest(path, command, params, seed=None, wall=None, outputs=()):
         "seed": seed,
         "wall_time_s": wall,
         "outputs": list(outputs),
+        **extra,
     }
     with open(path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -132,7 +133,7 @@ def _cmd_tw(args):
         with open(cache) as fh, open(out, "w") as dst:
             dst.write(fh.read())
         _write_manifest(out, "tw", _params(args), wall=time.time() - t0,
-                        outputs=[out, cache])
+                        outputs=[out, cache], cache="hit")
         print(f"cached Tracy-Widom table -> {out}")
         return 0
     xs = np.round(np.arange(args.xmin, args.xmax + args.step / 2, args.step), 12)
@@ -149,7 +150,8 @@ def _cmd_tw(args):
         shutil.copyfile(out, tmp)
         os.replace(tmp, cache)
         outputs.append(cache)
-    _write_manifest(out, "tw", _params(args), wall=time.time() - t0, outputs=outputs)
+    _write_manifest(out, "tw", _params(args), wall=time.time() - t0, outputs=outputs,
+                    cache="miss" if cache else "off")
     print(f"Tracy-Widom table (t={args.t:g}, {xs.size} points) -> {out}")
     return 0
 

@@ -17,6 +17,7 @@ whose eigenfunctions at simple nonzero eigenvalues again solve the equation.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -39,8 +40,10 @@ __all__ = [
     "mathieu_eigencheck",
 ]
 
-# |(|Delta| - 2)| above which a returned eigenvalue fails its certificate
+# |(|Delta| - 2)| above which a returned eigenvalue fails its certificate,
+# unless the rounding floor _IVP_RTOL max|S(pi)| of the batch is higher
 _CERTIFICATE_TOL = 1e-8
+_IVP_RTOL = 1e-12
 # the four symmetry classes as (lowest frequency, sine?), sine classes first
 # so that the stable merge lists the sine mode first at exact ties
 _CLASSES = ((2, True), (1, True), (0, False), (1, False))
@@ -98,9 +101,12 @@ def discriminant_and_derivative(alpha, lam):
     return float(y[0] + y[3]), float(y[4] + y[7])
 
 
-def _discriminants_batch(alpha, lams):
-    """Delta on a grid of spectral parameters through one stacked integration."""
-    lams = np.asarray(lams, dtype=float)
+@lru_cache(maxsize=1)
+def _monodromy_batch(alpha, lams):
+    """Rows s11, s21, s12, s22 of S(pi) on a tuple of spectral parameters,
+    through one stacked integration.  The last batch is kept (read-only), so
+    the certificate reads the scale of the integration behind its Delta."""
+    lams = np.array(lams, dtype=float)
     m = lams.size
     y0 = np.zeros(4 * m)
     y0[0::4] = 1.0
@@ -117,9 +123,16 @@ def _discriminants_batch(alpha, lams):
         return out
 
     sol = solve_ivp(rhs, (0.0, math.pi), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    y = sol.y[:, -1]
-    return y[0::4] + y[3::4]
+                    rtol=_IVP_RTOL, atol=1e-14)
+    s = sol.y[:, -1].reshape(m, 4).T.copy()
+    s.flags.writeable = False
+    return s
+
+
+def _discriminants_batch(alpha, lams):
+    """Delta on a grid of spectral parameters through one stacked integration."""
+    s = _monodromy_batch(float(alpha), tuple(np.asarray(lams, dtype=float).ravel()))
+    return s[0] + s[3]
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,10 @@ def periodic_spectrum(alpha, count):
     The four Fourier blocks do not couple, so narrow instability gaps split
     exactly and each period tag is its block's.  One batched integration of the
     discriminant certifies every entry: ResolutionError is raised when
-    | |Delta(lambda)| - 2 | exceeds 1e-8, as for a truncation that is too small.
+    | |Delta(lambda)| - 2 | exceeds max(1e-8, 1e-12 max|S(pi)|), as for a
+    truncation that is too small.  The second term is the rounding floor of
+    Delta at rtol 1e-12; it exceeds 1e-8 only at large |alpha| (alpha >~ 25),
+    where the monodromy entries grow.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -174,11 +190,15 @@ def periodic_spectrum(alpha, count):
         raise ValueError("count > 40 is outside the supported resolution")
     lams, tags = _spectrum_entries(alpha, count)
     miss = np.abs(np.abs(_discriminants_batch(alpha, lams)) - 2.0)
+    # Delta = s11 + s22 cancels entries as large as max|S(pi)|, each carrying
+    # the integration's relative error, so that is the floor of the bound
+    scale = np.abs(_monodromy_batch(float(alpha), tuple(lams))).max()
+    tol = max(_CERTIFICATE_TOL, _IVP_RTOL * scale)
     worst = int(np.argmax(miss))
-    if miss[worst] > _CERTIFICATE_TOL:
+    if miss[worst] > tol:
         raise ResolutionError(
             f"eigenvalue {lams[worst]:.17g} at alpha = {alpha!r} fails the discriminant "
-            f"certificate: ||Delta| - 2| = {miss[worst]:.3e} > {_CERTIFICATE_TOL:g}")
+            f"certificate: ||Delta| - 2| = {miss[worst]:.3e} > {tol:.3g}")
     return PeriodicSpectrum(lambdas=lams, period_tags=tags, alpha=float(alpha))
 
 

@@ -80,29 +80,51 @@ def _safe_h(spec, x):
     return np.where(room < _LIMIT_H, np.maximum(room, 1e-9), _LIMIT_H)
 
 
-def kernel_eval(spec, x, y):
-    """Evaluate K(x, y); switches to the diagonal rule when |x - y| < 1e-6."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _check_domain(spec, *points):
     lo, hi = spec.domain
     tol = 1e-12
-    for v in (x, y):
+    for v in points:
         if np.any(v < lo - tol) or np.any(v > hi + tol):
             raise ValueError(f"point outside kernel domain {spec.domain}")
+
+
+def kernel_eval(spec, x, y):
+    """Evaluate K(x, y); switches to the diagonal rule when |x - y| < 1e-6.
+
+    Each rule runs only on the entries it serves.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_domain(spec, x, y)
     near = np.abs(x - y) < _NEAR_DIAG
     if not np.any(near):
         return spec.evaluator(x, y) if x.shape or y.shape else float(spec.evaluator(x, y))
-    mid = 0.5 * (x + y)
-    diag = spec.diag(mid) if spec.diag is not None else _diag_by_limit(spec, mid)
-    off = spec.evaluator(np.where(near, y + 1.0, x), y)  # dodge the singular set
-    out = np.where(near, diag, off)
+    x, y, near = np.broadcast_arrays(x, y, near)
+    far = ~near
+    out = np.empty(near.shape)
+    mid = 0.5 * (x[near] + y[near])
+    out[near] = spec.diag(mid) if spec.diag is not None else _diag_by_limit(spec, mid)
+    if np.any(far):
+        out[far] = spec.evaluator(x[far], y[far])
     return out if out.shape else float(out)
 
 
 def kernel_matrix(spec, nodes):
-    """Dense symmetric kernel matrix on a node set, diagonal by the limit rule."""
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    return np.asarray(kernel_eval(spec, X, Y))
+    """Dense symmetric kernel matrix on a node set, diagonal by the limit rule.
+
+    A Hankel-symbol kernel A(x + y) is evaluated once per unordered pair of
+    nodes and mirrored.  Its diagonal rule is A(x + x), so the matrix equals
+    the elementwise one.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if spec.symbol is None:
+        X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+        return np.asarray(kernel_eval(spec, X, Y))
+    _check_domain(spec, nodes)
+    i, j = np.triu_indices(nodes.size)
+    K = np.empty((nodes.size, nodes.size))
+    K[i, j] = K[j, i] = spec.symbol(nodes[i] + nodes[j])
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,10 @@ def gap_probs(op, kmax):
     mu = lam / (1.0 - lam)
     e = np.zeros(kmax + 1)
     e[0] = 1.0
+    top = min(kmax, len(mu))
     for m in mu:
-        top = min(kmax, len(mu))
-        for k in range(top, 0, -1):
-            e[k] += m * e[k - 1]
+        # the right side is evaluated before the update, as the descending
+        # scalar recurrence e[k] += m * e[k - 1] reads only old values
+        e[1:top + 1] += m * e[:top]
     lo, hi = op.rule.interval
     return GapDistribution(probs=d * e, z_reference=1.0, interval=(lo, hi))

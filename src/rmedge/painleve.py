@@ -9,7 +9,9 @@ distribution is
     F(x; t) = exp( - int_x^inf (y - x) w(y; t)^2 dy ),
 
 which must agree with the determinant route det(I - t Gamma_(x)^2) over the
-Airy Hankel operator.
+Airy Hankel operator.  The moment integral is taken for the whole grid in one
+pass: one composite rule with a breakpoint at every grid point and reverse
+cumulative panel sums, plus the Airy tail beyond the anchor computed once.
 """
 
 from dataclasses import dataclass
@@ -90,26 +92,39 @@ def solve_pii(t, x_min, x_max, num=None):
                        w=vals[0], w_prime=vals[1], _dense=sol.sol)
 
 
-def _tail_moment(t, anchor, x):
-    """t * int_anchor^inf (y - x) Ai(y)^2 dy, the residual mass beyond the anchor."""
+def _tail_moments(t, anchor):
+    """t * int_anchor^inf y^k Ai(y)^2 dy for k = 1, 0: the mass beyond the anchor."""
     rule = gauss_legendre(60, anchor, anchor + 12.0)
     ai = airy(rule.nodes)[0]
     vals = rule.weights * ai * ai
-    return t * (float(np.dot(vals, rule.nodes)) - x * float(np.sum(vals)))
+    return t * float(np.dot(vals, rule.nodes)), t * float(np.sum(vals))
 
 
 _PANEL = gauss_legendre(10, 0.0, 1.0)
 
 
-def _moment_integral(sol, x, anchor):
-    """int_x^anchor (y - x) w(y)^2 dy by composite panel quadrature."""
-    npan = max(40, int((anchor - x) / 0.2))
-    bounds = np.linspace(x, anchor, npan + 1)
-    widths = np.diff(bounds)
-    ys = (bounds[:-1, None] + widths[:, None] * _PANEL.nodes[None, :]).ravel()
-    wts = (widths[:, None] * _PANEL.weights[None, :]).ravel()
-    w = sol.sol(ys)[0]
-    return float(np.dot(wts, (ys - x) * w * w))
+def _moment_integrals(sol, xs, anchor):
+    """int_x^anchor (y - x) w(y)^2 dy for every x in the increasing grid xs.
+
+    One composite panel rule (panels at most 0.2 wide) with a breakpoint at
+    every grid point; the integrals are reverse cumulative panel sums.
+    """
+    bounds = np.append(xs, anchor)
+    pieces = np.maximum(1, np.ceil(np.diff(bounds) / 0.2).astype(int))
+    edges = np.concatenate(
+        [np.linspace(a, b, m + 1)[:-1] for a, b, m in zip(bounds[:-1], bounds[1:], pieces)]
+        + [[anchor]])
+    widths = np.diff(edges)
+    ys = edges[:-1, None] + widths[:, None] * _PANEL.nodes[None, :]
+    wts = widths[:, None] * _PANEL.weights[None, :]
+    w = sol.sol(ys.ravel())[0].reshape(ys.shape)
+    mass = (wts * w * w).sum(axis=1)
+    first = (wts * ys * w * w).sum(axis=1)
+    # the first panel right of grid point i
+    starts = np.concatenate([[0], np.cumsum(pieces)[:-1]])
+    m0 = np.cumsum(mass[::-1])[::-1][starts]
+    m1 = np.cumsum(first[::-1])[::-1][starts]
+    return m1 - xs * m0
 
 
 def tw_cdf(t, xs):
@@ -120,10 +135,8 @@ def tw_cdf(t, xs):
     x_lo = float(xs[0])
     anchor = max(float(xs[-1]) + 2.0, _ANCHOR)
     sol = _integrate_pii(t, x_lo, anchor)
-    F = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        integral = _moment_integral(sol, x, anchor) + _tail_moment(t, anchor, x)
-        F[i] = np.exp(-integral)
+    tail1, tail0 = _tail_moments(t, anchor)
+    F = np.exp(-(_moment_integrals(sol, xs, anchor) + (tail1 - xs * tail0)))
     w_req = sol.sol(xs)[0]
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=w_req, route="painleve")
 

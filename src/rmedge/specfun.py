@@ -7,7 +7,9 @@ independent series oracles and the defining ODEs.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -47,17 +49,13 @@ class QuadRule:
         return float(np.dot(self.weights, values))
 
 
-def gauss_legendre(n, lo, hi):
-    """Gauss-Legendre rule with n points on (lo, hi).
+@lru_cache(maxsize=64)
+def _legendre_reference(n):
+    """Nodes (descending) and weights of the n-point rule on (-1, 1), read-only.
 
     Nodes are roots of the degree-n Legendre polynomial, found by Newton
-    iteration from the Chebyshev-like initial guess; exact for polynomials of
-    degree <= 2n-1.
+    iteration from the Chebyshev-like initial guess.
     """
-    if n < 1:
-        raise ValueError("need at least one quadrature node")
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
     k = np.arange(n)
     x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
     for _ in range(100):
@@ -81,7 +79,25 @@ def gauss_legendre(n, lo, hi):
         p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
     dp = np.ones_like(x) if n == 1 else n * (p_prev - x * p) / (1.0 - x * x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    # map from (-1, 1); initial guesses are descending, so flip
+    # every caller shares these arrays
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n, lo, hi):
+    """Gauss-Legendre rule with n points on (lo, hi).
+
+    The reference rule on (-1, 1) is computed once per n (the 64 most recent
+    sizes are kept) and mapped affinely; exact for polynomials of degree
+    <= 2n-1.
+    """
+    if n < 1:
+        raise ValueError("need at least one quadrature node")
+    if not lo < hi:
+        raise ValueError(f"empty interval ({lo}, {hi})")
+    x, w = _legendre_reference(operator.index(n))
+    # map from (-1, 1); the reference nodes are descending, so flip
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi) + half * x)[::-1].copy()
     weights = (half * w)[::-1].copy()

@@ -103,6 +103,39 @@ class TestTw:
         assert (tmp_path / "s0.5.csv").read_text() \
             != (tmp_path / "s0.5000001.csv").read_text()
 
+    def test_manifest_records_cache_use(self, tmp_path, monkeypatch):
+        argv = ("tw", "--t", "1", "--xmin", "-0.5", "--xmax", "0", "--step", "0.5",
+                "--n", "40")
+
+        def cache_field():
+            return json.loads((tmp_path / "tw.csv.manifest.json").read_text())["cache"]
+
+        monkeypatch.delenv("RMEDGE_CACHE_DIR", raising=False)
+        run(tmp_path, *argv)
+        assert cache_field() == "off"
+        monkeypatch.setenv("RMEDGE_CACHE_DIR", str(tmp_path / "cache"))
+        run(tmp_path, *argv)
+        assert cache_field() == "miss"
+        run(tmp_path, *argv)
+        assert cache_field() == "hit"
+
+    def test_table_cached_by_another_version_is_not_served(self, tmp_path, monkeypatch):
+        from rmedge import cli
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("RMEDGE_CACHE_DIR", str(cache))
+        argv = ("tw", "--t", "1", "--xmin", "-0.5", "--xmax", "0", "--step", "0.5",
+                "--n", "40")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "__version__", "0.1.0")
+            run(tmp_path, *argv, "--out", "old.csv")
+        (stale,) = cache.iterdir()
+        stale.write_text("stale table\n")
+        run(tmp_path, *argv, "--out", "new.csv")
+        assert (tmp_path / "new.csv").read_text().startswith("x,F_painleve,")
+        manifest = json.loads((tmp_path / "new.csv.manifest.json").read_text())
+        assert manifest["cache"] == "miss"
+        assert len(list(cache.iterdir())) == 2
+
 
 class TestOtherCommands:
     def test_hardedge_report(self, tmp_path):

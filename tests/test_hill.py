@@ -113,6 +113,16 @@ class TestPeriodicSpectrum:
         s = periodic_spectrum(alpha, 40)
         assert np.abs(s.lambdas - want).max() < 1e-10
 
+    @pytest.mark.parametrize("alpha", [60.0, 120.0])
+    def test_large_alpha_certified_above_rounding_floor(self, alpha):
+        # |Delta| - 2 carries rounding of about 1e-12 max|S(pi)| (7.6e7 at
+        # alpha = 60, 4.7e11 at 120), far above the absolute 1e-8
+        q = -alpha / 2
+        want = np.sort([mathieu_a(m, q) for m in range(3)]
+                       + [mathieu_b(m, q) for m in range(1, 3)])[:3]
+        s = periodic_spectrum(alpha, 3)
+        assert np.abs(s.lambdas - want).max() < 1e-10
+
     def test_certificate_failure_is_typed(self, monkeypatch, tmp_path, capsys):
         # a discriminant off +-2 at the returned eigenvalues refuses the
         # spectrum, in the library and in the CLI

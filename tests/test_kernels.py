@@ -7,8 +7,8 @@ from rmedge.errors import TruncationError
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_hard_kernel, bessel_log_symbol_kernel,
                             hankel_square_eval, hankel_square_grid,
-                            hankel_symbol_kernel, kernel_eval, qbessel_kernel,
-                            sine_circle_kernel, sine_kernel)
+                            hankel_symbol_kernel, kernel_eval, kernel_matrix,
+                            qbessel_kernel, sine_circle_kernel, sine_kernel)
 from rmedge.linop import discretize, fredholm_det, sym_eigen
 from rmedge.specfun import airy, bessel_j, gauss_legendre
 
@@ -75,6 +75,35 @@ class TestDiagonalValues:
     def test_domain_violation(self):
         with pytest.raises(ValueError):
             kernel_eval(bessel_hard_kernel(0.5), -0.5, 1.0)
+
+    @pytest.mark.parametrize("spec", [bessel_hard_kernel(0.5), airy_symbol_kernel()],
+                             ids=lambda s: s.tag)
+    def test_domain_violation_on_every_path(self, spec):
+        # off the diagonal, on it, and through the Hankel-symbol assembly
+        for x, y in ((-0.5, 1.0), (-0.5, -0.5), (np.array([-0.5, 1.0]), 1.0)):
+            with pytest.raises(ValueError):
+                kernel_eval(spec, x, y)
+        with pytest.raises(ValueError):
+            kernel_matrix(spec, np.array([-0.5, 0.5, 1.0]))
+
+
+_MATRIX_SPECS = [
+    (airy_symbol_kernel(shift=-1.5), 0.0, 14.0),
+    (bessel_log_symbol_kernel(2.0, ell=0.3), 0.0, 18.0),
+    (hankel_symbol_kernel(lambda s: np.exp(-np.asarray(s)) * np.cos(s), 20.0),
+     0.0, 20.0),
+    (airy_kernel(), -3.0, 11.0),
+    (sine_kernel(1.5), -2.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("spec,lo,hi", _MATRIX_SPECS, ids=lambda v: getattr(v, "tag", ""))
+def test_kernel_matrix_equals_elementwise_evaluation(spec, lo, hi):
+    # the symbol path fills each unordered pair once and mirrors it; the
+    # diagonal rule runs only on the diagonal: the same bits either way
+    nodes = gauss_legendre(40, lo, hi).nodes
+    want = np.array([[kernel_eval(spec, x, y) for y in nodes] for x in nodes])
+    assert np.array_equal(kernel_matrix(spec, nodes), want)
 
 
 class TestHankelSquares:

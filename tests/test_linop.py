@@ -147,6 +147,20 @@ class TestGapProbs:
             want = (-1.0) ** k / fact * (coef[k] * fact)
             assert abs(want - g.probs[k]) < 1e-7
 
+    @pytest.mark.parametrize("n,kmax", [(60, 40), (60, 5), (12, 20), (12, 0)])
+    def test_recurrence_matches_scalar_loop(self, n, kmax):
+        # the elementary symmetric functions of mu, one k at a time, descending
+        op = discretize(sine_kernel(1.0), (0.0, 3.0), n)
+        lam = sym_eigen(op).eigenvalues
+        mu = lam / (1.0 - lam)
+        e = np.zeros(kmax + 1)
+        e[0] = 1.0
+        for m in mu:
+            for k in range(min(kmax, len(mu)), 0, -1):
+                e[k] += m * e[k - 1]
+        want = float(np.prod(1.0 - lam)) * e
+        assert np.array_equal(gap_probs(op, kmax).probs, want)
+
     def test_near_singular_eigenvalue_reported(self):
         rule = gauss_legendre(2, 0.0, 1.0)
         op = DiscretizedOp(rule=rule,

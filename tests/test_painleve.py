@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from rmedge import kernels, painleve
 from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
-from rmedge.specfun import airy
+from rmedge.specfun import airy, gauss_legendre
 
 
 class TestSolvePii:
@@ -78,6 +79,39 @@ class TestTwCdf:
         for t in (0.5, 1.0):
             F = tw_cdf(t, xs).F_values
             assert np.all(F >= 0.0) and np.all(F <= 1.0)
+
+    def test_one_pass_moments_match_per_point_quadrature(self):
+        # reference: a panel rule of its own from each x to the anchor, and the
+        # Airy tail beyond it, per grid point
+        xs = np.round(np.arange(-5.0, 2.01, 0.1), 12)
+        for t in (0.5, 1.0):
+            anchor = max(xs[-1] + 2.0, 8.0)
+            sol = painleve._integrate_pii(t, xs[0], anchor)
+            panel = gauss_legendre(10, 0.0, 1.0)
+            tail = gauss_legendre(60, anchor, anchor + 12.0)
+            tail_w = tail.weights * airy(tail.nodes)[0] ** 2
+            want = []
+            for x in xs:
+                bounds = np.linspace(x, anchor, max(40, int((anchor - x) / 0.2)) + 1)
+                ys = (bounds[:-1, None] + np.diff(bounds)[:, None] * panel.nodes).ravel()
+                wts = (np.diff(bounds)[:, None] * panel.weights).ravel()
+                inner = np.dot(wts, (ys - x) * sol.sol(ys)[0] ** 2)
+                want.append(np.exp(-inner - t * np.dot(tail_w, tail.nodes - x)))
+            got = tw_cdf(t, xs).F_values
+            assert np.abs(got / np.array(want) - 1.0).max() < 1e-13
+
+    def test_determinant_route_evaluates_each_airy_point_once(self, monkeypatch):
+        # n(n+1)/2 node sums per grid point, plus the 8-point trace-tail probe
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return airy(x)
+
+        monkeypatch.setattr(kernels, "airy", counted)
+        n, xs = 100, np.array([-2.0, 0.0, 1.5])
+        tw_cdf_det(1.0, xs, n=n)
+        assert sum(points) == xs.size * (n * (n + 1) // 2 + 8)
 
     def test_curve_routes_are_tagged(self):
         xs = np.array([-1.0, 0.0])

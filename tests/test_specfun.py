@@ -3,9 +3,34 @@ import math
 import numpy as np
 import pytest
 
+from rmedge import specfun
 from rmedge.specfun import (QuadRule, airy, bessel_j, gauss_legendre,
                             log_gamma_complex, periodic_rule,
                             unimodular_gamma_ratio)
+
+
+def _newton_rule(n, lo, hi):
+    # the uncached rule: Newton on P_n from the Chebyshev-like guess, mapped
+    k = np.arange(n)
+    x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for j in range(2, n + 1):
+            p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
+        dp = np.ones_like(x) if n == 1 else n * (p_prev - x * p) / (1.0 - x * x)
+        return p, dp
+
+    for _ in range(100):
+        p, dp = legendre(x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    dp = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * x)[::-1], (half * w)[::-1]
 
 
 class TestGaussLegendre:
@@ -45,6 +70,31 @@ class TestGaussLegendre:
         assert abs(r.weights.sum() - 7.0) < 1e-12 * 7
         assert np.all(np.diff(r.nodes) > 0)
         assert r.nodes[0] > 2.0 and r.nodes[-1] < 9.0
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 100, 2000])
+    def test_cached_rule_equals_newton_rule(self, n):
+        for lo, hi in ((-1.0, 1.0), (-0.3, 14.2)):
+            for _ in range(2):  # the second call is served from the cache
+                r = gauss_legendre(n, lo, hi)
+                nodes, weights = _newton_rule(n, lo, hi)
+                assert np.array_equal(r.nodes, nodes)
+                assert np.array_equal(r.weights, weights)
+
+    def test_mutating_a_rule_leaves_the_next_one_intact(self):
+        first = gauss_legendre(8, 0.0, 1.0)
+        first.nodes[:] = 0.5
+        first.weights[:] = 2.0 * first.weights
+        again = gauss_legendre(8, 0.0, 1.0)
+        nodes, weights = _newton_rule(8, 0.0, 1.0)
+        assert np.array_equal(again.nodes, nodes)
+        assert np.array_equal(again.weights, weights)
+
+    def test_every_returned_rule_is_validated(self, monkeypatch):
+        x, w = specfun._legendre_reference(4)
+        monkeypatch.setattr(specfun, "_legendre_reference",
+                            lambda n: (x, np.where(w > w.min(), w, -w)))
+        with pytest.raises(ValueError):
+            gauss_legendre(4, 0.0, 1.0)
 
     def test_bad_rule_rejected(self):
         with pytest.raises(ValueError):
