@@ -14,7 +14,8 @@ from scipy import special as _sp
 from scipy.interpolate import CubicSpline
 
 from .errors import TruncationError
-from .kernels import KernelSpec, bessel_log_symbol_kernel, qbessel_kernel
+from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
+                      qbessel_kernel)
 from .linop import discretize, fredholm_det, sym_eigen
 from .specfun import bessel_j, gauss_legendre, unimodular_gamma_ratio
 
@@ -168,15 +169,11 @@ def _hard_edge_u_spec(nu):
 
     G(u, v) = sqrt(u v) (J_nu(u) v J_nu'(v) - u J_nu'(u) J_nu(v)) / (u^2 - v^2)
     has only the benign (u v)^{nu + 1/2} endpoint factor, so Gauss-Legendre
-    Nystrom converges spectrally where the x-variable kernel would not.
+    Nystrom converges spectrally where the x-variable kernel would not.  It is
+    the integrable kernel A = sqrt(u) J_nu(u), B = u^{3/2} J_nu'(u), g = u^2.
     """
-
-    def ev(u, v):
-        ju, jpu = bessel_j(nu, u)
-        jv_, jpv = bessel_j(nu, v)
-        return np.sqrt(u * v) * (ju * v * jpv - u * jpu * jv_) / (u * u - v * v)
-
-    return KernelSpec("bessel_hard_u", {"nu": nu}, (0.0, math.inf), ev)
+    return bessel_integrable_kernel("bessel_hard_u", {"nu": nu}, (0.0, math.inf), nu,
+                                    lambda u: u, np.sqrt, 1.0)
 
 
 def bessel_det_identity(cfg, z, n=80):

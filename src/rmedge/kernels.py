@@ -1,10 +1,12 @@
-"""Catalog of integrable kernels with exact formulas and diagonal-limit rules.
+"""Catalog of integrable kernels with exact formulas and exact diagonals.
 
 Every kernel is a symmetric function K(x, y) on an interval, packed into a
-:class:`KernelSpec` together with a rule for the (removable) diagonal
-singularity.  Hankel-symbol families additionally carry the one-variable
-symbol A, so that the operator kernel is A(x + y) and squares can be formed
-by quadrature, see :func:`hankel_square_eval`.
+:class:`KernelSpec`.  Integrable kernels are held in the paper's form
+K(x, y) = (A(x)B(y) - B(x)A(y)) / (g(x) - g(y)) with the exact diagonal
+(A'B - B'A)/g' from the ODE of (A, B), so a kernel matrix needs A and B at
+the nodes only.  Hankel-symbol families carry the symbol A of the kernel
+A(x + y), so that squares can be formed by quadrature, see
+:func:`hankel_square_eval`.
 """
 
 import math
@@ -19,6 +21,8 @@ from .specfun import airy, bessel_j, gauss_legendre
 
 __all__ = [
     "KernelSpec",
+    "integrable_kernel",
+    "bessel_integrable_kernel",
     "sine_kernel",
     "airy_kernel",
     "bessel_hard_kernel",
@@ -36,13 +40,17 @@ __all__ = [
 # Below this separation the off-diagonal formula is abandoned for the
 # diagonal rule evaluated at the midpoint.
 _NEAR_DIAG = 1e-6
-# Step for the symmetric-limit diagonal rule (one Richardson extrapolation).
-_LIMIT_H = 1e-5
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A symmetric kernel with parameters and an explicit diagonal-limit rule."""
+    """A symmetric kernel with parameters and its diagonal.
+
+    ``diag`` gives K(x, x); for an integrable kernel (``ab`` and ``denom``
+    set) it maps (x, A(x), B(x)) to the diagonal, so that assembly reuses the
+    values at the nodes.  A spec without ``diag`` is regular on its diagonal
+    and evaluated there by ``evaluator``.
+    """
 
     family: str
     params: dict
@@ -51,6 +59,8 @@ class KernelSpec:
     diag: Optional[Callable] = field(default=None, repr=False)
     symbol: Optional[Callable] = field(default=None, repr=False)
     tail_length: Optional[float] = None
+    ab: Optional[Callable] = field(default=None, repr=False)
+    denom: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def tag(self):
@@ -60,24 +70,10 @@ class KernelSpec:
         return f"{self.family}({inner})"
 
 
-def _diag_by_limit(spec, x):
-    """Symmetric limit K(x-h, x+h) with one Richardson step, h = 1e-5."""
-    x = np.asarray(x, dtype=float)
-    h = np.minimum(_LIMIT_H, _safe_h(spec, x))
-    k1 = spec.evaluator(x - h, x + h)
-    k2 = spec.evaluator(x - h / 2, x + h / 2)
-    return (4.0 * k2 - k1) / 3.0
-
-
-def _safe_h(spec, x):
-    # keep the probe points inside the kernel domain
-    lo, hi = spec.domain
-    room = np.full(np.shape(x), np.inf, dtype=float)
-    if np.isfinite(lo):
-        room = np.minimum(room, (np.asarray(x, dtype=float) - lo) / 2)
-    if np.isfinite(hi):
-        room = np.minimum(room, (hi - np.asarray(x, dtype=float)) / 2)
-    return np.where(room < _LIMIT_H, np.maximum(room, 1e-9), _LIMIT_H)
+def _diagonal(spec, x):
+    if spec.diag is None:
+        return spec.evaluator(x, x)
+    return spec.diag(x, *spec.ab(x)) if spec.ab else spec.diag(x)
 
 
 def _check_domain(spec, *points):
@@ -102,21 +98,33 @@ def kernel_eval(spec, x, y):
     x, y, near = np.broadcast_arrays(x, y, near)
     far = ~near
     out = np.empty(near.shape)
-    mid = 0.5 * (x[near] + y[near])
-    out[near] = spec.diag(mid) if spec.diag is not None else _diag_by_limit(spec, mid)
+    out[near] = _diagonal(spec, 0.5 * (x[near] + y[near]))
     if np.any(far):
         out[far] = spec.evaluator(x[far], y[far])
     return out if out.shape else float(out)
 
 
 def kernel_matrix(spec, nodes):
-    """Dense symmetric kernel matrix on a node set, diagonal by the limit rule.
+    """Dense symmetric kernel matrix on a node set, equal to the elementwise one.
 
-    A Hankel-symbol kernel A(x + y) is evaluated once per unordered pair of
-    nodes and mirrored.  Its diagonal rule is A(x + x), so the matrix equals
-    the elementwise one.
+    An integrable kernel takes A, B and g once per node and forms the quotient
+    from outer products, with the diagonal rule on the diagonal and at the
+    midpoint of any other pair closer than 1e-6.  A Hankel-symbol kernel
+    A(x + y) is evaluated once per unordered pair of nodes and mirrored.
     """
     nodes = np.asarray(nodes, dtype=float)
+    if spec.ab is not None:
+        _check_domain(spec, nodes)
+        a, b = spec.ab(nodes)
+        g = spec.denom(nodes)
+        near = np.abs(nodes[:, None] - nodes[None, :]) < _NEAR_DIAG
+        K = np.outer(a, b) - np.outer(b, a)
+        K /= np.where(near, 1.0, g[:, None] - g[None, :])
+        i, j = np.nonzero(near & ~np.eye(nodes.size, dtype=bool))
+        if i.size:
+            K[i, j] = _diagonal(spec, 0.5 * (nodes[i] + nodes[j]))
+        np.fill_diagonal(K, spec.diag(nodes, a, b))
+        return K
     if spec.symbol is None:
         X, Y = np.meshgrid(nodes, nodes, indexing="ij")
         return np.asarray(kernel_eval(spec, X, Y))
@@ -131,6 +139,50 @@ def kernel_matrix(spec, nodes):
 # kernel families
 
 
+def integrable_kernel(family, params, domain, ab, denom, diag, tail_length=None):
+    """K(x, y) = (A(x)B(y) - B(x)A(y)) / (g(x) - g(y)) from ab: x -> (A(x), B(x)).
+
+    ``denom`` is the monotone map g; ``diag`` maps (x, A(x), B(x)) to the
+    exact diagonal (A'B - B'A)(x) / g'(x).
+    """
+
+    def ev(x, y):
+        ax, bx = ab(x)
+        ay, by = ab(y)
+        return (ax * by - bx * ay) / (denom(x) - denom(y))
+
+    return KernelSpec(family, params, domain, ev, diag=diag, tail_length=tail_length,
+                      ab=ab, denom=denom)
+
+
+def bessel_integrable_kernel(family, params, domain, nu, arg, weight, c,
+                             tail_length=None):
+    """Integrable Bessel kernel of order nu > -1/2 in the variable s = arg(x) > 0.
+
+    A = w J_nu(s), B = w s J_nu'(s) with w = weight(s), and g = c s^2.
+    Bessel's equation gives the diagonal (B^2 + (s^2 - nu^2) A^2) / (2 c s^2),
+    which is w^2 (J_nu^2 - J_{nu+1} J_{nu-1}) / (2c).
+    """
+    if not nu > -0.5:
+        raise ValueError("order must exceed -1/2")
+
+    def ab(x):
+        s = arg(x)
+        j, jp = bessel_j(nu, s)
+        w = weight(s)
+        return w * j, w * s * jp
+
+    def denom(x):
+        s = arg(x)
+        return c * s * s
+
+    def diag(x, a, b):
+        s2 = arg(x) ** 2
+        return (b * b + (s2 - nu * nu) * a * a) / (2.0 * c * s2)
+
+    return integrable_kernel(family, params, domain, ab, denom, diag, tail_length)
+
+
 def sine_kernel(t):
     """Bulk kernel sin(t pi (x-y)) / (pi (x-y)) on the line; diagonal value t."""
     if not t > 0:
@@ -139,44 +191,29 @@ def sine_kernel(t):
 
     def ev(x, y):
         d = np.asarray(x - y, dtype=float)
-        small = np.abs(d) < 1e-8
-        dd = np.where(small, 1.0, d)
-        out = np.sin(t * np.pi * dd) / (np.pi * dd)
-        return np.where(small, t, out)
+        return np.sin(t * np.pi * d) / (np.pi * d)
 
     return KernelSpec("sine", {"t": t}, (-math.inf, math.inf), ev,
                       diag=lambda x: np.full(np.shape(x), t) if np.shape(x) else t)
 
 
 def airy_kernel():
-    """Soft-edge kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y)."""
+    """Soft-edge kernel (Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y).
 
-    def ev(x, y):
-        ax, apx = airy(x)
-        ay, apy = airy(y)
-        return (ax * apy - apx * ay) / (x - y)
-
-    def diag(x):
-        ax, apx = airy(x)
-        return apx * apx - x * ax * ax
-
-    return KernelSpec("airy", {}, (-math.inf, math.inf), ev, diag=diag,
-                      tail_length=14.0)
+    A = Ai and B = Ai' solve A' = B, B' = xA, so the diagonal is B^2 - x A^2.
+    """
+    return integrable_kernel("airy", {}, (-math.inf, math.inf), airy, lambda x: x,
+                             lambda x, a, b: b * b - x * a * a, tail_length=14.0)
 
 
 def bessel_hard_kernel(nu):
-    """Hard-edge kernel on (0, infinity) built from J_nu(sqrt(x))."""
-    if not nu > -0.5:
-        raise ValueError("order must exceed -1/2")
+    """Hard-edge kernel on (0, infinity): A = J_nu(sqrt x), B = sqrt x J_nu'(sqrt x), g = 2x.
+
+    Its diagonal is (J_nu^2 - J_{nu+1} J_{nu-1})(sqrt x) / 4.
+    """
     nu = float(nu)
-
-    def ev(x, y):
-        sx, sy = np.sqrt(x), np.sqrt(y)
-        jx, jpx = bessel_j(nu, sx)
-        jy, jpy = bessel_j(nu, sy)
-        return (jx * sy * jpy - sx * jpx * jy) / (2.0 * (x - y))
-
-    return KernelSpec("bessel_hard", {"nu": nu}, (0.0, math.inf), ev)
+    return bessel_integrable_kernel("bessel_hard", {"nu": nu}, (0.0, math.inf), nu,
+                                    np.sqrt, lambda s: 1.0, 2.0)
 
 
 def airy_symbol_kernel(shift=0.0):
@@ -186,20 +223,7 @@ def airy_symbol_kernel(shift=0.0):
     def sym(s):
         return airy(shift + np.asarray(s, dtype=float))[0]
 
-    def ev(x, y):
-        return sym(x + y)
-
-    return KernelSpec("airy_symbol", {"shift": shift}, (0.0, math.inf), ev,
-                      diag=lambda x: sym(2.0 * np.asarray(x, dtype=float)),
-                      symbol=sym, tail_length=14.0)
-
-
-def _bessel_log_symbol(nu, ell):
-    def sym(s):
-        r = np.exp(-ell - np.asarray(s, dtype=float))
-        return r * bessel_j(nu, r)[0]
-
-    return sym
+    return hankel_symbol_kernel(sym, 14.0, "airy_symbol", {"shift": shift})
 
 
 def bessel_log_symbol_kernel(nu, ell=0.0):
@@ -207,15 +231,13 @@ def bessel_log_symbol_kernel(nu, ell=0.0):
     if not nu > -0.5:
         raise ValueError("order must exceed -1/2")
     nu, ell = float(nu), float(ell)
-    sym = _bessel_log_symbol(nu, ell)
 
-    def ev(x, y):
-        return sym(x + y)
+    def sym(s):
+        r = np.exp(-ell - np.asarray(s, dtype=float))
+        return r * bessel_j(nu, r)[0]
 
-    return KernelSpec("bessel_log_symbol", {"nu": nu, "ell": ell},
-                      (-math.inf, math.inf), ev,
-                      diag=lambda x: sym(2.0 * np.asarray(x, dtype=float)),
-                      symbol=sym, tail_length=18.0)
+    return hankel_symbol_kernel(sym, 18.0, "bessel_log_symbol", {"nu": nu, "ell": ell},
+                                domain=(-math.inf, math.inf))
 
 
 def qbessel_kernel(nu, ell=0.0):
@@ -223,26 +245,15 @@ def qbessel_kernel(nu, ell=0.0):
 
     With A(s) = e^{-s} J_nu(e^{-s}) and B(s) = e^{-2s} J_nu'(e^{-s}),
 
-        Q(x, y) = (A(x+l) B(y+l) - B(x+l) A(y+l)) / (e^{-2(x+l)} - e^{-2(y+l)}).
+        Q(x, y) = (A(x+l) B(y+l) - B(x+l) A(y+l)) / (e^{-2(x+l)} - e^{-2(y+l)}),
+
+    and with r = e^{-(x+l)} the diagonal is (B^2 + (r^2 - nu^2) A^2) / (2 r^2).
     """
-    if not nu > -0.5:
-        raise ValueError("order must exceed -1/2")
     nu, ell = float(nu), float(ell)
-
-    def ab(s):
-        r = np.exp(-np.asarray(s, dtype=float))
-        j, jp = bessel_j(nu, r)
-        return r * j, r * r * jp
-
-    def ev(x, y):
-        ax, bx = ab(np.asarray(x) + ell)
-        ay, by = ab(np.asarray(y) + ell)
-        ex = np.exp(-2.0 * (np.asarray(x, dtype=float) + ell))
-        ey = np.exp(-2.0 * (np.asarray(y, dtype=float) + ell))
-        return (ax * by - bx * ay) / (ex - ey)
-
-    return KernelSpec("qbessel", {"nu": nu, "ell": ell},
-                      (-math.inf, math.inf), ev, tail_length=18.0)
+    return bessel_integrable_kernel("qbessel", {"nu": nu, "ell": ell},
+                                    (-math.inf, math.inf), nu,
+                                    lambda x: np.exp(-(np.asarray(x, dtype=float) + ell)),
+                                    lambda s: s, 1.0, tail_length=18.0)
 
 
 def sine_circle_kernel(n):
@@ -269,12 +280,13 @@ def sine_circle_kernel(n):
                       if np.shape(x) else float(n * n))
 
 
-def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=None):
-    """Wrap an arbitrary decaying symbol A into the Hankel kernel A(x + y)."""
+def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=None,
+                         domain=(0.0, math.inf)):
+    """Wrap a decaying symbol A into the Hankel kernel A(x + y)."""
     def ev(x, y):
         return symbol(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
 
-    return KernelSpec(family, params or {}, (0.0, math.inf), ev,
+    return KernelSpec(family, params or {}, domain, ev,
                       diag=lambda x: symbol(2.0 * np.asarray(x, dtype=float)),
                       symbol=symbol, tail_length=float(tail_length))
 
@@ -299,13 +311,7 @@ def _check_tail(spec, x, y, L):
 
 def hankel_square_eval(spec, x, y, L=None):
     """Quadrature value of int_0^L A(x+u) A(u+y) du for a Hankel-symbol kernel."""
-    if spec.symbol is None:
-        raise ValueError(f"kernel family {spec.family!r} carries no Hankel symbol")
-    L = float(L if L is not None else spec.tail_length)
-    _check_tail(spec, x, y, L)
-    rule = _square_rule(L)
-    u = rule.nodes
-    return float(np.dot(rule.weights, spec.symbol(x + u) * spec.symbol(u + y)))
+    return float(hankel_square_grid(spec, [x], [y], L)[0, 0])
 
 
 def hankel_square_grid(spec, xs, ys, L=None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionError
-from .kernels import hankel_square_grid
+from .kernels import hankel_square_grid, hankel_symbol_kernel, kernel_matrix
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -61,9 +61,9 @@ def _check_contraction(spec, kappa):
 
 def _hankel_matrix(spec, x, n):
     """Symmetrized Nystrom matrix of the Hankel operator with kernel A(x+s+t)."""
-    rule = gauss_legendre(n, 0.0, float(spec.tail_length))
-    s = rule.nodes
-    K = spec.symbol(x + s[:, None] + s[None, :])
+    L = float(spec.tail_length)
+    rule = gauss_legendre(n, 0.0, L)
+    K = kernel_matrix(hankel_symbol_kernel(lambda s: spec.symbol(x + s), L), rule.nodes)
     sw = np.sqrt(rule.weights)
     return rule, sw[:, None] * K * sw[None, :]
 
@@ -154,7 +154,7 @@ def hs_expansion(spec, x, m, n=240):
         raise ValueError("requested rank exceeds the discretization size")
     s = rule.nodes
     sw = np.sqrt(rule.weights)
-    G = sw[:, None] * spec.symbol(s[:, None] + s[None, :]) * sw[None, :]
+    G = sw[:, None] * kernel_matrix(spec, s) * sw[None, :]
     vals, vecs = np.linalg.eigh(G)
     order = np.argsort(-np.abs(vals))[:m]
     gammas = vals[order]

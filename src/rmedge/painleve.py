@@ -53,6 +53,8 @@ class PIISolution:
 
 
 def _integrate_pii(t, x_min, anchor):
+    if not 0.0 < t <= 1.0:
+        raise ValueError("t must lie in (0, 1]")
     ai, aip = airy(anchor)
     y0 = [-np.sqrt(t) * ai, -np.sqrt(t) * aip]
 
@@ -76,8 +78,6 @@ def _integrate_pii(t, x_min, anchor):
 
 def solve_pii(t, x_min, x_max, num=None):
     """Solution of w'' = 2w^3 + xw anchored to -sqrt(t) Ai at the right end."""
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]")
     if x_max < 6.0:
         raise ValueError("x_max must be at least 6 so the Airy anchor is accurate")
     if not x_min < x_max:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import HypothesisViolationError
+from .kernels import integrable_kernel, kernel_eval
 from .specfun import airy, gauss_legendre
 
 __all__ = [
@@ -116,7 +117,7 @@ def build_c_matrix(sys):
 
 
 def _solution(sys, x_hi):
-    """(A, B) on [x0, x_hi] as a callable.
+    """(A, B) on [x0, x_hi] as a callable, which refuses points outside it.
 
     The trace-free shape forces an exponential dichotomy, so integrating the
     decaying solution forward is unstable.  Instead the decaying direction is
@@ -167,26 +168,26 @@ def _solution(sys, x_hi):
 
     def cf(x):
         x = np.asarray(x, dtype=float)
-        out_a = np.zeros(x.shape if x.shape else (1,))
-        out_b = np.zeros_like(out_a)
+        if np.any(x < sys.x0 - 1e-12) or np.any(x > x_hi + 1e-12):
+            raise ValueError(
+                f"point outside the integrated range [{sys.x0:g}, {x_hi:g}]")
         flat = np.atleast_1d(x)
+        out = np.empty((2,) + flat.shape)
         for bottom, top, dense, ls in chunks:
             mask = (flat >= bottom - 1e-12) & (flat <= top + 1e-12)
-            if not np.any(mask):
-                continue
-            vals = dense(flat[mask])
-            scale = sign * amp * math.exp(ls - ref_log)
-            out_a[mask] = vals[0] * scale
-            out_b[mask] = vals[1] * scale
-        if not x.shape:
-            return float(out_a[0]), float(out_b[0])
-        return out_a, out_b
+            if np.any(mask):
+                out[:, mask] = dense(flat[mask]) * (sign * amp * math.exp(ls - ref_log))
+        return (out[0], out[1]) if x.shape else (float(out[0, 0]), float(out[1, 0]))
 
     return cf
 
 
-def factorize(sys):
-    """Square root of -C, rotation angle, and the Hankel symbols F, G."""
+def factorize(sys, ab=None):
+    """Square root of -C, rotation angle, and the Hankel symbols F, G.
+
+    F and G are read from ``ab``, a callable x -> (A(x), B(x)); without one,
+    the closed form or else a solution on [x0, x0 + 80] is used.
+    """
     C = build_c_matrix(sys)
     vals, vecs = np.linalg.eigh(-C)
     if vals.min() < -1e-12:
@@ -203,19 +204,19 @@ def factorize(sys):
                     [math.sin(theta), math.cos(theta)]])
     X = rot @ np.diag([lam1, lam2]) @ rot.T
 
-    holder = {"ab": sys.closed_form}
+    holder = {"ab": ab or sys.closed_form}
 
-    def ab(x):
+    def solution(x):
         if holder["ab"] is None:
             holder["ab"] = _solution(sys, sys.x0 + 80.0)
         return holder["ab"](x)
 
     def F(x):
-        A, B = ab(x)
+        A, B = solution(x)
         return lam1 * (A * math.cos(theta) + B * math.sin(theta))
 
     def G(x):
-        A, B = ab(x)
+        A, B = solution(x)
         return lam2 * (-A * math.sin(theta) + B * math.cos(theta))
 
     return FactorPair(C=C, X=X, theta=theta, lambda1=lam1, lambda2=lam2, F=F, G=G)
@@ -224,17 +225,13 @@ def factorize(sys):
 def tw_kernel_values(sys, x, y, ab=None):
     """(A(x)B(y) - A(y)B(x)) / (x - y); ODE closed form on the diagonal."""
     ab = ab or _solution(sys, float(np.max([np.max(x), np.max(y)])) + 1.0)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Ax, Bx = ab(x)
-    Ay, By = ab(y)
-    near = np.abs(x - y) < 1e-9
-    d = np.where(near, 1.0, x - y)
-    off = (Ax * By - Ay * Bx) / d
-    al, be, ga = sys.coeff(x)
-    diag = ga * Ax * Ax + 2.0 * al * Ax * Bx + be * Bx * Bx
-    out = np.where(near, diag, off)
-    return out if out.shape else float(out)
+
+    def diag(x, a, b):  # (A'B - B'A)(x)
+        al, be, ga = sys.coeff(x)
+        return ga * a * a + 2.0 * al * a * b + be * b * b
+
+    spec = integrable_kernel("ode_system", {}, (-math.inf, math.inf), ab, lambda x: x, diag)
+    return kernel_eval(spec, x, y)
 
 
 def _decay_cutoff(fg_abs, start=10.0, cap=80.0):
@@ -251,11 +248,10 @@ def verify_factorization(sys, interval, n):
     the integrand tail falls below 1e-13, and compares against the kernel.
     Systems whose solutions fail the integrability hypothesis are rejected.
     """
-    pair = factorize(sys)
     lo, hi = interval
     xs = np.linspace(lo, hi, n)
-
     ab = sys.closed_form or _solution(sys, hi + 90.0)
+    pair = factorize(sys, ab)
 
     def tail(L):
         A, B = ab(hi + L)

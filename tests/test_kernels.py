@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from rmedge import kernels
 from rmedge.errors import TruncationError
+from rmedge.hardedge import _hard_edge_u_spec
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_hard_kernel, bessel_log_symbol_kernel,
                             hankel_square_eval, hankel_square_grid,
@@ -94,6 +97,9 @@ _MATRIX_SPECS = [
      0.0, 20.0),
     (airy_kernel(), -3.0, 11.0),
     (sine_kernel(1.5), -2.0, 4.0),
+    (bessel_hard_kernel(2.0), 0.0, 5.0),
+    (qbessel_kernel(0.5, ell=0.3), 0.0, 18.0),
+    (_hard_edge_u_spec(2.0), 0.0, 0.7),
 ]
 
 
@@ -104,6 +110,84 @@ def test_kernel_matrix_equals_elementwise_evaluation(spec, lo, hi):
     nodes = gauss_legendre(40, lo, hi).nodes
     want = np.array([[kernel_eval(spec, x, y) for y in nodes] for x in nodes])
     assert np.array_equal(kernel_matrix(spec, nodes), want)
+
+
+# Upper triangle of the Airy kernel matrix on these nodes, bit for bit, as the
+# elementwise assembly from meshgrids gave it; the pair 0.3, 0.3 + 4e-7 takes
+# the diagonal rule at its midpoint.
+_AIRY_NODES = np.array([-2.0, 0.3, 0.3 + 4e-7, 1.6, 9.0])
+_AIRY_PINNED = [
+    '0x1.f15421512190dp-2', '0x1.9641bf0834c74p-4', '0x1.9641b27025329p-4',
+    '0x1.0a004cd9a5ffbp-6', '0x1.42c11351818d0p-32', '0x1.2d4696d047b2ap-5',
+    '0x1.2d468e77920d6p-5', '0x1.c1e55cc76109fp-8', '0x1.760cb5b99ecf0p-33',
+    '0x1.2d46861edc994p-5', '0x1.c1e5509460334p-8', '0x1.760cac1214019p-33',
+    '0x1.57a54c9df90f8p-10', '0x1.2c88e4202cf75p-35', '0x1.2720f173b87c0p-60',
+]
+
+
+def test_airy_kernel_matrix_is_pinned():
+    i, j = np.triu_indices(_AIRY_NODES.size)
+    want = np.empty((_AIRY_NODES.size,) * 2)
+    want[i, j] = want[j, i] = [float.fromhex(v) for v in _AIRY_PINNED]
+    assert np.array_equal(kernel_matrix(airy_kernel(), _AIRY_NODES), want)
+
+
+def test_airy_discretize_evaluates_each_node_once(monkeypatch):
+    # A and B once per node, plus the 8-point trace-tail probe
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return airy(x)
+
+    monkeypatch.setattr(kernels, "airy", counted)
+    n = 60
+    discretize(airy_kernel(), (-1.5, math.inf), n)
+    assert sum(points) == n + 8
+
+
+def _bessel_bracket(nu, s):
+    # J_nu^2 - J_{nu+1} J_{nu-1} at 30 digits
+    s = mpmath.mpf(s)
+    return mpmath.besselj(nu, s) ** 2 - mpmath.besselj(nu + 1, s) * mpmath.besselj(nu - 1, s)
+
+
+class TestExactDiagonals:
+    # The (A, B) form loses relative accuracy where B ~ nu A (argument of the
+    # Bessel function near 0), far below the scale of any matrix entry; these
+    # points sit where the diagonal carries the determinant.
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_bessel_hard(self, nu):
+        with mpmath.workdps(30):
+            for x in (0.5, 2.0, 9.0):
+                want = _bessel_bracket(nu, mpmath.sqrt(x)) / 4
+                got = kernel_eval(bessel_hard_kernel(nu), x, x)
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_hard_edge_u_variable(self, nu):
+        with mpmath.workdps(30):
+            for u in (0.4, 1.1, 3.0):
+                want = mpmath.mpf(u) * _bessel_bracket(nu, u) / 2
+                got = kernel_eval(_hard_edge_u_spec(nu), u, u)
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("nu,ell", [(0.5, 0.0), (2.0, 0.3)])
+    def test_qbessel(self, nu, ell):
+        with mpmath.workdps(30):
+            for x in (-1.5, -0.5, 0.5):
+                r = mpmath.exp(-(mpmath.mpf(x) + ell))
+                want = r * r * _bessel_bracket(nu, r) / 2
+                got = kernel_eval(qbessel_kernel(nu, ell), x, x)
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_airy(self):
+        with mpmath.workdps(30):
+            for x in (-4.0, 0.5, 3.0):
+                xm = mpmath.mpf(x)
+                want = mpmath.airyai(xm, 1) ** 2 - xm * mpmath.airyai(xm) ** 2
+                got = kernel_eval(airy_kernel(), x, x)
+                assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestHankelSquares:

@@ -48,6 +48,13 @@ class TestTwCdf:
         with pytest.raises(ValueError):
             tw_cdf(1.0, np.array([0.5, 0.2]))
 
+    @pytest.mark.parametrize("t", [2.0, -1.0, 0.0])
+    def test_t_outside_unit_interval_rejected(self, t):
+        # as solve_pii and tw_cdf_det: no distribution is computed for t
+        # outside (0, 1], where sqrt(t) Ai would be complex or not a CDF
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            tw_cdf(t, np.array([-1.0, 0.0]))
+
     def test_right_tail_is_one(self):
         c = tw_cdf(1.0, np.array([2.0, 6.0]))
         assert abs(c.F_values[-1] - 1.0) < 1e-10

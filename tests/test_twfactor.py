@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from rmedge import twfactor
 from rmedge.errors import HypothesisViolationError
 from rmedge.specfun import airy
 from rmedge.twfactor import (OdeSystem, airy_system, bessel_bracket_residual,
@@ -83,6 +85,30 @@ class TestVerifyFactorization:
     def test_sine_system_rejected_for_nondecay(self):
         with pytest.raises(HypothesisViolationError):
             verify_factorization(sine_system(), (0.0, 2.0), 5)
+
+    def test_system_integrated_once(self, monkeypatch):
+        # the symbols F, G and the kernel share one numerical solution, so no
+        # chunk of the backward integration runs twice
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(twfactor, "solve_ivp", counted)
+        verify_factorization(scaled_airy_system(), (0.0, 2.0), 8)
+        tops = [span[0] for span in calls]
+        assert len(set(tops)) == len(tops)
+
+
+def test_numerical_solution_refuses_points_outside_its_range():
+    # the integrated (A, B) exists on [x0, x_hi] only: points outside are
+    # refused, not read as 0
+    sys = scaled_airy_system()
+    with pytest.raises(ValueError, match="integrated range"):
+        tw_kernel_values(sys, -0.5, 1.0)
+    with pytest.raises(ValueError, match="integrated range"):
+        factorize(sys).F(np.array([1.0, 85.0]))
 
 
 def test_kernel_derivative_identity():
