@@ -15,8 +15,9 @@ import numpy as np
 from . import ensembles, hardedge, hill, marchenko, painleve, twfactor
 from .kernels import (airy_kernel, airy_symbol_kernel, hankel_square_grid,
                       kernel_eval, sine_kernel)
-from .linop import discretize, fredholm_det, gap_probs, operator_square, sym_eigen
-from .specfun import gauss_legendre
+from .linop import (discretize, fredholm_det, gap_probs, log_det, nystrom, operator_square,
+                    sym_eigen)
+from .specfun import gauss_legendre, periodic_rule
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -41,7 +42,8 @@ def _soft_edge_det_identity():
                                    (0.0, math.inf), 80)).eigenvalues
         for z in (0.5, 1.0):
             lhs = fredholm_det(op_kernel, z)
-            rhs = float(np.prod(1.0 - z * gam * gam))
+            sign, logabs = log_det(gam * gam, z)
+            rhs = sign * math.exp(logabs)
             worst = max(worst, abs(lhs - rhs))
     return worst < 1e-8, f"max |lhs - rhs| {worst:.3e} over alpha in {{0,1}}, z in {{0.5,1}} (tol 1e-8)"
 
@@ -158,10 +160,9 @@ def _hill_mathieu():
     details.append(f"alpha=1 eigenfunction residual {rep['max_residual']:.2e} (tol 1e-4)")
     # alpha=0, n=3 circular kernel eigenvalue 2 pi 3 with multiplicity 3
     k0 = hill.mathieu_tw_kernel(0.0, 5)
-    from .specfun import periodic_rule
     rule = periodic_rule(48, 0.0, 2 * math.pi)
     K = np.asarray(k0.spec.evaluator(rule.nodes[:, None], rule.nodes[None, :]))
-    ev = np.sort(np.linalg.eigvalsh(0.5 * (K + K.T) * rule.weights[0]))[::-1]
+    ev = sym_eigen(nystrom(rule, K)).eigenvalues
     mult_dev = float(max(np.abs(ev[:3] - 6 * math.pi).max(), abs(ev[3])))
     ok &= mult_dev < 1e-8
     details.append(f"circular kernel eigenvalue 6pi x3 dev {mult_dev:.2e} (tol 1e-8)")
@@ -196,8 +197,7 @@ def _gap_probabilities():
 def _monte_carlo_soft_edge():
     n, samples = 200, 2000
     res = ensembles.soft_edge_gap_counts(n, samples, 0.0, seed=MC_SEED)
-    gam = sym_eigen(discretize(airy_symbol_kernel(), (0.0, math.inf), 100)).eigenvalues
-    target = float(np.prod(1.0 - gam * gam))
+    target = painleve.tw_cdf_det(1.0, [0.0]).F_values[0]
     dev_se = abs(res.probs[0] - target) / res.std_errors[0]
     # reproducibility
     again = ensembles.sample_gue_eigs(n, MC_SEED, 0)

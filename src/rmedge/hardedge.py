@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from .errors import TruncationError
 from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
                       qbessel_kernel)
-from .linop import discretize, fredholm_det, sym_eigen
+from .linop import discretize, fredholm_det, log_det, sym_eigen
 from .specfun import bessel_j, gauss_legendre, unimodular_gamma_ratio
 
 __all__ = [
@@ -170,7 +170,7 @@ def _hard_edge_u_spec(nu):
     G(u, v) = sqrt(u v) (J_nu(u) v J_nu'(v) - u J_nu'(u) J_nu(v)) / (u^2 - v^2)
     has only the benign (u v)^{nu + 1/2} endpoint factor, so Gauss-Legendre
     Nystrom converges spectrally where the x-variable kernel would not.  It is
-    the integrable kernel A = sqrt(u) J_nu(u), B = u^{3/2} J_nu'(u), g = u^2.
+    the integrable kernel A = sqrt(u) J_nu(u), B = -u^{3/2} J_{nu+1}(u), g = u^2.
     """
     return bessel_integrable_kernel("bessel_hard_u", {"nu": nu}, (0.0, math.inf), nu,
                                     lambda u: u, np.sqrt, 1.0)
@@ -188,7 +188,8 @@ def bessel_det_identity(cfg, z, n=80):
                                   (0.0, math.sqrt(cfg.a)), n), z)
     sym = bessel_log_symbol_kernel(cfg.nu, ell=cfg.alpha)
     gam = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120))).eigenvalues
-    rhs = float(np.prod(1.0 - z * gam * gam))
+    sign, logabs = log_det(gam * gam, z)
+    rhs = sign * math.exp(logabs)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -211,23 +212,19 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
 
     spec_u = KernelSpec("jnu_scaled_u", {"nu": nu, "s": s}, (0.0, math.inf), ev)
     op = discretize(spec_u, (0.0, 1.0), n)
-    vals, vecs = np.linalg.eigh(op.matrix)
-    order = np.argsort(-np.abs(vals))[:top]
-    lam = vals[order]
+    lam, vecs = op.eigenpairs(top)
     mapped = 0.5 * lam * rs
 
     sym = bessel_log_symbol_kernel(nu, ell=ell)
     hop = discretize(sym, (0.0, math.inf), max(2 * n, 120))
-    hvals = sym_eigen(hop).eigenvalues
-    hlam = hvals[np.argsort(-np.abs(hvals))[:top]]
+    hlam, hvecs = hop.eigenpairs(top)
 
     gap = float(np.abs(np.sort(mapped) - np.sort(hlam)).max())
 
     # eigenvector correspondence for the leading pair, via the natural
     # Nystrom interpolation of the (0,1)-side eigenfunction
-    u_nodes = op.rule.nodes
-    w_nodes = op.rule.weights
-    f_vals = vecs[:, order[0]] / (np.sqrt(w_nodes) * np.sqrt(2.0 * u_nodes))
+    u_nodes, w_nodes = op.rule.nodes, op.rule.weights
+    f_vals = vecs[:, 0] / np.sqrt(2.0 * u_nodes)
 
     def f_interp(x):
         # f(x) = (1/lam) int_0^1 J_nu(sqrt(s x y)) f(y) dy in the u variable
@@ -235,20 +232,11 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
         ker = bessel_j(nu, arg[:, None] * u_nodes[None, :])[0]
         return (ker @ (w_nodes * 2.0 * u_nodes * f_vals)) / lam[0]
 
-    hxi = hop.rule.nodes
-    hw = hop.rule.weights
-    hall, hvecs = np.linalg.eigh(hop.matrix)
-    hvec = hvecs[:, np.argmax(np.abs(hall))]
-    g_hankel = hvec / np.sqrt(hw)
+    # the Hankel eigenfunction is already unit in the weights; match its sign
+    hxi, hw = hop.rule.nodes, hop.rule.weights
     g_mapped = np.exp(-hxi) * f_interp(np.exp(-2.0 * hxi))
-
-    def unit(v):
-        nrm = math.sqrt(float(np.dot(hw, v * v)))
-        return v / nrm
-
-    ga, gb = unit(g_mapped), unit(g_hankel)
-    if np.dot(hw, ga * gb) < 0:
-        gb = -gb
+    ga = g_mapped / math.sqrt(float(np.dot(hw, g_mapped * g_mapped)))
+    gb = hvecs[:, 0] * math.copysign(1.0, np.dot(hw, ga * hvecs[:, 0]))
     vec_resid = float(np.abs(ga - gb).max())
     return {"kernel_eigs": mapped, "hankel_eigs": hlam,
             "eig_gap": gap, "vector_residual": vec_resid}

@@ -25,6 +25,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionError, WrongPeriodError
 from .kernels import KernelSpec
+from .linop import nystrom
 from .specfun import periodic_rule
 
 __all__ = [
@@ -313,16 +314,12 @@ def mathieu_eigencheck(kernel, n=256, top=6):
     """
     rule = periodic_rule(n, 0.0, 2.0 * math.pi)
     xs = rule.nodes
-    h = rule.weights[0]
     K = np.asarray(kernel.spec.evaluator(xs[:, None], xs[None, :]))
-    M = 0.5 * (K + K.T) * h
-    vals, vecs = np.linalg.eigh(M)
-    order = np.argsort(-np.abs(vals))
-    scale = np.abs(vals[order[0]])
+    vals, vecs = nystrom(rule, K, kernel.spec.tag).eigenpairs()
+    scale = np.abs(vals[0])
     report = []
     skipped = 0
-    for idx in order[:top]:
-        lam_op = vals[idx]
+    for idx, lam_op in enumerate(vals[:top]):
         if abs(lam_op) < 1e-6 * scale:
             continue
         gaps = np.abs(vals - lam_op)

@@ -159,18 +159,18 @@ def bessel_integrable_kernel(family, params, domain, nu, arg, weight, c,
                              tail_length=None):
     """Integrable Bessel kernel of order nu > -1/2 in the variable s = arg(x) > 0.
 
-    A = w J_nu(s), B = w s J_nu'(s) with w = weight(s), and g = c s^2.
-    Bessel's equation gives the diagonal (B^2 + (s^2 - nu^2) A^2) / (2 c s^2),
-    which is w^2 (J_nu^2 - J_{nu+1} J_{nu-1}) / (2c).
+    A = w J_nu(s), B = -w s J_{nu+1}(s) (w s J_nu'(s) less nu A, which cancels
+    in the quotient) with w = weight(s), and g = c s^2.  Bessel's equation gives
+    the diagonal (s^2 A^2 + 2 nu A B + B^2) / (2 c s^2), free of cancellation as
+    s -> 0, which is w^2 (J_nu^2 - J_{nu+1} J_{nu-1}) / (2c).
     """
     if not nu > -0.5:
         raise ValueError("order must exceed -1/2")
 
     def ab(x):
         s = arg(x)
-        j, jp = bessel_j(nu, s)
         w = weight(s)
-        return w * j, w * s * jp
+        return w * bessel_j(nu, s)[0], -w * s * bessel_j(nu + 1.0, s)[0]
 
     def denom(x):
         s = arg(x)
@@ -178,7 +178,7 @@ def bessel_integrable_kernel(family, params, domain, nu, arg, weight, c,
 
     def diag(x, a, b):
         s2 = arg(x) ** 2
-        return (b * b + (s2 - nu * nu) * a * a) / (2.0 * c * s2)
+        return (s2 * a * a + 2.0 * nu * a * b + b * b) / (2.0 * c * s2)
 
     return integrable_kernel(family, params, domain, ab, denom, diag, tail_length)
 
@@ -207,7 +207,7 @@ def airy_kernel():
 
 
 def bessel_hard_kernel(nu):
-    """Hard-edge kernel on (0, infinity): A = J_nu(sqrt x), B = sqrt x J_nu'(sqrt x), g = 2x.
+    """Hard-edge kernel on (0, infinity): A = J_nu(sqrt x), B = -sqrt x J_{nu+1}(sqrt x), g = 2x.
 
     Its diagonal is (J_nu^2 - J_{nu+1} J_{nu-1})(sqrt x) / 4.
     """
@@ -243,11 +243,11 @@ def bessel_log_symbol_kernel(nu, ell=0.0):
 def qbessel_kernel(nu, ell=0.0):
     """Kernel of the hard-edge projection in log variables.
 
-    With A(s) = e^{-s} J_nu(e^{-s}) and B(s) = e^{-2s} J_nu'(e^{-s}),
+    With A(s) = e^{-s} J_nu(e^{-s}) and B(s) = -e^{-2s} J_{nu+1}(e^{-s}),
 
         Q(x, y) = (A(x+l) B(y+l) - B(x+l) A(y+l)) / (e^{-2(x+l)} - e^{-2(y+l)}),
 
-    and with r = e^{-(x+l)} the diagonal is (B^2 + (r^2 - nu^2) A^2) / (2 r^2).
+    and with r = e^{-(x+l)} the diagonal is (r^2 A^2 + 2 nu A B + B^2) / (2 r^2).
     """
     nu, ell = float(nu), float(ell)
     return bessel_integrable_kernel("qbessel", {"nu": nu, "ell": ell},

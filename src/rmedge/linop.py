@@ -1,11 +1,12 @@
 """Discretize symmetric kernels; eigenvalues, Fredholm determinants, gaps.
 
-A kernel operator restricted to an interval is represented by the symmetrized
-Nystrom matrix M_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j), so a single symmetric
-eigensolve serves determinants, gap probabilities and spectra alike.
-Semi-infinite intervals are truncated using the kernel's registered tail
-length, with a built-in check that the dropped tail is negligible for the
-trace.
+This module owns the Nystrom convention and the determinant: an operator is
+the symmetrized matrix M_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j) (:func:`nystrom`),
+whose eigenvectors map back to eigenfunctions at the nodes
+(:meth:`DiscretizedOp.eigenpairs`) and whose spectrum gives det(I - z K) in
+the log domain (:func:`log_det`).  Semi-infinite intervals are truncated
+using the kernel's registered tail length, with a built-in check that the
+dropped tail is negligible for the trace.
 """
 
 import math
@@ -21,9 +22,11 @@ __all__ = [
     "DiscretizedOp",
     "Spectrum",
     "GapDistribution",
+    "nystrom",
     "discretize",
     "operator_square",
     "sym_eigen",
+    "log_det",
     "fredholm_det",
     "gap_probs",
 ]
@@ -40,6 +43,13 @@ class DiscretizedOp:
             raise ValueError("matrix size must match the quadrature rule")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matrix entries must be finite")
+
+    def eigenpairs(self, top=None):
+        """Top eigenvalues by decreasing modulus, and the eigenfunctions' values at
+        the nodes (eigenvectors / sqrt(w), orthonormal in the weights) as columns."""
+        vals, vecs = np.linalg.eigh(self.matrix)
+        order = np.argsort(-np.abs(vals))[:top]
+        return vals[order], vecs[:, order] / np.sqrt(self.rule.weights)[:, None]
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,13 @@ def _truncate(spec, lo, hi):
     return lo, hi
 
 
+def nystrom(rule, K, kernel_tag="custom"):
+    """The operator with kernel matrix K on a rule: sqrt(w) K sqrt(w), symmetrized."""
+    sw = np.sqrt(rule.weights)
+    M = sw[:, None] * K * sw[None, :]
+    return DiscretizedOp(rule=rule, matrix=0.5 * (M + M.T), kernel_tag=kernel_tag)
+
+
 def discretize(spec, interval, n):
     """Symmetrized Nystrom matrix of a kernel on an interval with n GL nodes."""
     if n < 2:
@@ -81,11 +98,7 @@ def discretize(spec, interval, n):
         raise ValueError(f"interval {interval} outside kernel domain {spec.domain}")
     lo, hi = _truncate(spec, lo, hi)
     rule = gauss_legendre(n, lo, hi)
-    K = kernel_matrix(spec, rule.nodes)
-    sw = np.sqrt(rule.weights)
-    M = sw[:, None] * K * sw[None, :]
-    M = 0.5 * (M + M.T)
-    return DiscretizedOp(rule=rule, matrix=M, kernel_tag=spec.tag)
+    return nystrom(rule, kernel_matrix(spec, rule.nodes), spec.tag)
 
 
 def operator_square(op):
@@ -101,10 +114,22 @@ def sym_eigen(op):
                     kernel_tag=op.kernel_tag)
 
 
+def log_det(eigenvalues, z):
+    """(sign, log|det(I - z K)|) from the spectrum of K, as numpy.linalg.slogdet.
+
+    Sums log|1 - z lam|, through log1p where -z lam > -1 so that factors close
+    to 1 keep their relative accuracy; a zero factor gives (0, -inf).
+    """
+    x = -z * np.asarray(eigenvalues, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(x > -1.0, np.log1p(x), np.log(np.abs(1.0 + x)))
+    return float(np.prod(np.sign(1.0 + x))), float(np.sum(terms))
+
+
 def fredholm_det(op, z):
-    """det(I - z K) as the product over the discretized spectrum."""
-    lam = sym_eigen(op).eigenvalues
-    return float(np.prod(1.0 - z * lam))
+    """det(I - z K) from the discretized spectrum, through :func:`log_det`."""
+    sign, logabs = log_det(sym_eigen(op).eigenvalues, z)
+    return sign * math.exp(logabs)
 
 
 def gap_probs(op, kmax):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractionError
 from .kernels import hankel_square_grid, hankel_symbol_kernel, kernel_matrix
+from .linop import discretize, log_det, nystrom, sym_eigen
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -59,13 +60,10 @@ def _check_contraction(spec, kappa):
     return norm
 
 
-def _hankel_matrix(spec, x, n):
-    """Symmetrized Nystrom matrix of the Hankel operator with kernel A(x+s+t)."""
+def _shifted_hankel(spec, x, n):
+    """The Hankel operator with kernel A(x+s+t) on (0, L)."""
     L = float(spec.tail_length)
-    rule = gauss_legendre(n, 0.0, L)
-    K = kernel_matrix(hankel_symbol_kernel(lambda s: spec.symbol(x + s), L), rule.nodes)
-    sw = np.sqrt(rule.weights)
-    return rule, sw[:, None] * K * sw[None, :]
+    return discretize(hankel_symbol_kernel(lambda s: spec.symbol(x + s), L), (0.0, L), n)
 
 
 def solve_marchenko(spec, kappa, x, n=160):
@@ -88,9 +86,8 @@ def resolvent_series_values(spec, kappa, x, z, n=160):
     L = float(spec.tail_length)
     rule = gauss_legendre(n, x, x + L)
     y = rule.nodes
-    W = hankel_square_grid(spec, y, y)
+    Wsym = nystrom(rule, hankel_square_grid(spec, y, y)).matrix
     sw = np.sqrt(rule.weights)
-    Wsym = sw[:, None] * W * sw[None, :]
     z = np.atleast_1d(np.asarray(z, dtype=float))
     wxz = hankel_square_grid(spec, np.array([x]), z)[0]
     wxy = hankel_square_grid(spec, np.array([x]), y)[0] * sw
@@ -106,17 +103,19 @@ def marchenko_diag(spec, kappa, x, n=160):
     is better conditioned on the diagonal than interpolating K(x, .).
     """
     _check_contraction(spec, kappa)
-    rule, G = _hankel_matrix(spec, x, n)
-    a = np.sqrt(rule.weights) * spec.symbol(x + rule.nodes)
-    sol = np.linalg.solve(np.eye(n) - kappa * kappa * (G @ G), a)
+    op = _shifted_hankel(spec, x, n)
+    a = np.sqrt(op.rule.weights) * spec.symbol(x + op.rule.nodes)
+    sol = np.linalg.solve(np.eye(n) - kappa * kappa * (op.matrix @ op.matrix), a)
     return float(kappa * (a @ sol))
 
 
 def log_det_tail(spec, kappa, x, n=160):
     """log det(I - kappa^2 P_(x,inf) W P_(x,inf)) via the Hankel spectrum."""
-    _, G = _hankel_matrix(spec, x, n)
-    gam = np.linalg.eigvalsh(G)
-    return float(np.sum(np.log1p(-kappa * kappa * gam * gam)))
+    gam = sym_eigen(_shifted_hankel(spec, x, n)).eigenvalues
+    sign, logabs = log_det(gam * gam, kappa * kappa)
+    if sign <= 0:
+        raise ContractionError(f"det(I - kappa^2 W) <= 0 at kappa = {kappa:g}")
+    return logabs
 
 
 def verify_logdet_slope(spec, kappa, x, h=1e-3, n=160):
@@ -152,13 +151,7 @@ def hs_expansion(spec, x, m, n=240):
     rule, n_left = _split_rule(x, L, n)
     if m > len(rule):
         raise ValueError("requested rank exceeds the discretization size")
-    s = rule.nodes
-    sw = np.sqrt(rule.weights)
-    G = sw[:, None] * kernel_matrix(spec, s) * sw[None, :]
-    vals, vecs = np.linalg.eigh(G)
-    order = np.argsort(-np.abs(vals))[:m]
-    gammas = vals[order]
-    phis = vecs[:, order] / sw[:, None]  # back to function values on the nodes
+    gammas, phis = nystrom(rule, kernel_matrix(spec, rule.nodes)).eigenpairs(m)
     tail_w = rule.weights[n_left:]
     tail_phi = phis[n_left:, :]
     gram = (tail_phi * tail_w[:, None]).T @ tail_phi

@@ -14,6 +14,7 @@ pass: one composite rule with a breakpoint at every grid point and reverse
 cumulative panel sums, plus the Airy tail beyond the anchor computed once.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
-from .linop import discretize, sym_eigen
+from .linop import discretize, log_det, sym_eigen
 from .specfun import airy, gauss_legendre
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -150,5 +151,6 @@ def tw_cdf_det(t, xs, n=100):
     for i, x in enumerate(xs):
         op = discretize(airy_symbol_kernel(shift=float(x)), (0.0, np.inf), n)
         gam = sym_eigen(op).eigenvalues
-        F[i] = float(np.prod(1.0 - t * gam * gam))
+        sign, logabs = log_det(gam * gam, t)
+        F[i] = sign * math.exp(logabs)
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant")

@@ -234,31 +234,25 @@ def tw_kernel_values(sys, x, y, ab=None):
     return kernel_eval(spec, x, y)
 
 
-def _decay_cutoff(fg_abs, start=10.0, cap=80.0):
-    L = start
-    while fg_abs(L) > 1e-13 and L < cap:
-        L *= 1.35
-    return L
-
-
 def verify_factorization(sys, interval, n):
     """Max residual of the factorization identity on an n x n grid.
 
     Integrates int_0^L (F(x+t)F(t+y) + G(x+t)G(t+y)) dt with L grown until
-    the integrand tail falls below 1e-13, and compares against the kernel.
-    Systems whose solutions fail the integrability hypothesis are rejected.
+    the integrand tail falls below 1e-13, and compares against the kernel; a
+    numerical solution is taken on [x0, hi + L] only.  Systems whose
+    solutions fail the integrability hypothesis are rejected.
     """
     lo, hi = interval
     xs = np.linspace(lo, hi, n)
-    ab = sys.closed_form or _solution(sys, hi + 90.0)
+    L = 10.0
+    while True:
+        ab = sys.closed_form or _solution(sys, hi + L)
+        tail = float(np.sum(np.abs(ab(hi + L))))
+        if tail <= 1e-13 or L >= 80.0:
+            break
+        L *= 1.35
     pair = factorize(sys, ab)
-
-    def tail(L):
-        A, B = ab(hi + L)
-        return abs(A) + abs(B)
-
-    L = _decay_cutoff(tail)
-    if tail(L) > 1e-10:
+    if tail > 1e-10:
         raise HypothesisViolationError(
             "solutions do not decay; the factorization requires bounded, "
             "continuous and integrable A, B")

@@ -78,6 +78,14 @@ class TestBesselDetIdentity:
         _, _, gap = bessel_det_identity(HardEdgeConfig(nu=nu, a=a), z, n=60)
         assert gap < 1e-6
 
+    @pytest.mark.parametrize("nu,a,z,want", [(0.5, 0.5, 1.0, 0.9764418079479565),
+                                             (2.0, 0.25, 0.8, 0.99999470033684)])
+    def test_hankel_route_pinned(self, nu, a, z, want):
+        # det(I - z Phi^2) from the Hankel spectrum, as computed by the
+        # product over the spectrum before it moved to the log domain
+        _, rhs, _ = bessel_det_identity(HardEdgeConfig(nu=nu, a=a), z)
+        assert abs(rhs - want) <= 1e-14 * want
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HardEdgeConfig(nu=-0.6, a=0.5)

@@ -153,9 +153,6 @@ def _bessel_bracket(nu, s):
 
 
 class TestExactDiagonals:
-    # The (A, B) form loses relative accuracy where B ~ nu A (argument of the
-    # Bessel function near 0), far below the scale of any matrix entry; these
-    # points sit where the diagonal carries the determinant.
     @pytest.mark.parametrize("nu", [0.5, 2.0])
     def test_bessel_hard(self, nu):
         with mpmath.workdps(30):
@@ -180,6 +177,18 @@ class TestExactDiagonals:
                 want = r * r * _bessel_bracket(nu, r) / 2
                 got = kernel_eval(qbessel_kernel(nu, ell), x, x)
                 assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_bessel_small_argument(self):
+        # the Bessel argument near 0, where a diagonal built from J_nu' cancels
+        with mpmath.workdps(30):
+            for x in (8.0, 15.0):
+                r = mpmath.exp(-(mpmath.mpf(x) + 0.3))
+                want = r * r * _bessel_bracket(2.0, r) / 2
+                got = kernel_eval(qbessel_kernel(2.0, 0.3), x, x)
+                assert abs(got - want) <= 1e-13 * abs(want)
+            want = _bessel_bracket(2.0, mpmath.sqrt(1e-6)) / 4
+            got = kernel_eval(bessel_hard_kernel(2.0), 1e-6, 1e-6)
+            assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_airy(self):
         with mpmath.workdps(30):

@@ -6,8 +6,8 @@ import pytest
 from rmedge.errors import NearSingularError
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_log_symbol_kernel, kernel_eval, sine_kernel)
-from rmedge.linop import (DiscretizedOp, discretize, fredholm_det, gap_probs,
-                          operator_square, sym_eigen)
+from rmedge.linop import (DiscretizedOp, discretize, fredholm_det, gap_probs, log_det,
+                          nystrom, operator_square, sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -83,6 +83,59 @@ class TestSymEigen:
         op = discretize(sine_kernel(1.0), (0.0, 1.0), 24)
         ev = sym_eigen(op).eigenvalues
         assert np.all(np.diff(ev) <= 0)
+
+
+class TestNystrom:
+    def test_matrix_is_weighted_kernel(self):
+        rule = gauss_legendre(10, 0.0, 2.0)
+        K = np.asarray(kernel_eval(sine_kernel(1.0), rule.nodes[:, None], rule.nodes[None, :]))
+        op = nystrom(rule, K, "sine")
+        sw = np.sqrt(rule.weights)
+        assert np.allclose(op.matrix, sw[:, None] * K * sw[None, :], rtol=1e-15, atol=0)
+        assert np.array_equal(op.matrix, op.matrix.T)
+        assert op.kernel_tag == "sine"
+
+    @pytest.mark.parametrize("spec,interval", [
+        (sine_kernel(1.0), (0.0, 1.5)),
+        (airy_symbol_kernel(), (0.0, math.inf)),
+    ], ids=["sine", "airy-symbol"])
+    def test_eigenpairs_are_nystrom_eigenfunctions(self, spec, interval):
+        op = discretize(spec, interval, 40)
+        lam, phi = op.eigenpairs(6)
+        assert np.all(np.diff(np.abs(lam)) <= 0)
+        w = op.rule.weights
+        # orthonormal in the rule's weights
+        assert np.abs((phi * w[:, None]).T @ phi - np.eye(6)).max() < 1e-12
+        # sum_j w_j K(x_i, x_j) phi(x_j) = lam phi(x_i)
+        x = op.rule.nodes
+        K = np.asarray(kernel_eval(spec, x[:, None], x[None, :]))
+        resid = K @ (w[:, None] * phi) - phi * lam
+        assert np.abs(resid).max() < 1e-12 * np.abs(phi).max()
+
+    def test_eigenpairs_default_is_full_spectrum(self):
+        op = discretize(sine_kernel(1.0), (0.0, 1.0), 12)
+        lam, phi = op.eigenpairs()
+        assert phi.shape == (12, 12)
+        assert np.allclose(np.sort(lam), np.sort(sym_eigen(op).eigenvalues), atol=1e-15)
+
+
+class TestLogDet:
+    @pytest.mark.parametrize("z", [0.5, 1.7])
+    def test_against_slogdet(self, z):
+        # at z = 1.7 one factor 1 - z lam is negative: the sign is -1
+        op = discretize(sine_kernel(1.0), (0.0, 1.5), 32)
+        sign, logabs = log_det(sym_eigen(op).eigenvalues, z)
+        want = np.linalg.slogdet(np.eye(32) - z * op.matrix)
+        assert sign == want.sign
+        assert abs(logabs - want.logabsdet) < 1e-13
+
+    def test_zero_factor(self):
+        assert log_det(np.array([0.5, 0.25]), 2.0) == (0.0, -math.inf)
+
+    def test_small_factors_keep_relative_accuracy(self):
+        # log(1 - 1e-17) is -1e-17, not 0
+        sign, logabs = log_det(np.array([1e-17]), 1.0)
+        assert sign == 1.0 and logabs == -1e-17
 
 
 class TestFredholmDet:

@@ -72,6 +72,18 @@ class TestTwCdf:
         fd = tw_cdf_det(0.5, xs).F_values[0]
         assert abs(fp - fd) < 1e-6
 
+    @pytest.mark.parametrize("t,want", [
+        (1.0, [2.135996984742415e-05, 0.08031955293933518, 0.8072142419992863,
+               0.9905446073837165, 0.9998875536983092]),
+        (0.5, [0.20841537671486693, 0.4955123605471564, 0.9035286444113416,
+               0.9952722728136677, 0.9999437768479518]),
+    ])
+    def test_determinant_route_pinned(self, t, want):
+        # README grid points, as computed by the product over the spectrum
+        # before it moved to the log domain
+        got = tw_cdf_det(t, np.array([-5.0, -3.0, -1.0, 0.5, 2.0])).F_values
+        assert np.all(np.abs(got - want) <= 1e-14 * np.array(want))
+
     def test_monotone_in_x_and_in_t(self):
         xs = np.round(np.arange(-4.0, 2.01, 0.25), 10)
         c1 = tw_cdf(0.5, xs)
