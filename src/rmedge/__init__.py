@@ -7,9 +7,10 @@ independent routes; and seeded Monte Carlo ensemble sampling to compare
 against the deterministic predictions.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"
 
-from .specfun import QuadRule, airy, bessel_j, gauss_legendre, log_gamma_complex, periodic_rule
+from .specfun import (QuadRule, airy, bessel_j, bessel_jv, gauss_legendre, log_gamma_complex,
+                      periodic_rule)
 from .kernels import (
     KernelSpec,
     airy_kernel,
@@ -66,6 +67,7 @@ from .hill import (
 )
 from .ensembles import (
     EnsembleSample,
+    hermite_tridiagonal,
     sample_gue_eigs,
     sample_wishart_eigs,
     soft_edge_gap_counts,

@@ -224,7 +224,7 @@ def _cmd_sample(args):
             for k in range(args.kmax + 1)]
     _write_csv(out, ["k", "empirical_E_k", "std_error", "predicted_E_k"], rows)
     _write_manifest(out, "sample", _params(args), seed=args.seed,
-                    wall=time.time() - t0, outputs=[out])
+                    wall=time.time() - t0, outputs=[out], model=res.manifest["model"])
     print(f"empirical vs predicted E(k), n={args.n}, {args.samples} samples -> {out}")
     return 0
 

@@ -1,24 +1,30 @@
 """Monte Carlo sampling of GUE and Wishart matrices with seeded reproducibility.
 
-Gaussians come from the Philox counter-based generator through a Box-Muller
-map, so identical seeds give bit-identical eigenvalue lists and independent
-samples can be drawn in parallel from (seed, sample_index) keys.  Hermitian
-eigenproblems are solved through the real-symmetric doubling embedding
-[[A, -B], [B, A]], which produces each eigenvalue twice.
+Every draw reads uniforms from one Philox counter-based generator keyed by
+(seed, sample_index), so identical keys give bit-identical eigenvalue lists
+and independent samples can be drawn in parallel.  Gaussians come from a
+Box-Muller map of those uniforms.  Dense GUE draws are diagonalized by the
+complex Hermitian solver.  Soft-edge gap counts use the Dumitriu-Edelman
+beta = 2 Hermite tridiagonal model, whose eigenvalues have the same joint law
+as the dense GUE draw: eigenvalues above the cut are counted by bisection on
+the n - 1 off-diagonals, without forming an n x n matrix.
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
     "EnsembleSample",
     "GapCountResult",
     "gaussian_stream",
     "gue_matrix",
+    "hermite_tridiagonal",
     "sample_gue_eigs",
     "sample_wishart_eigs",
     "soft_edge_gap_counts",
@@ -44,12 +50,22 @@ class GapCountResult:
     manifest: dict
 
 
-def gaussian_stream(seed, sample_index, count):
-    """``count`` standard normals from Philox(key=(seed, index)) + Box-Muller."""
+def _check_key(seed, sample_index):
+    for name, v in (("seed", seed), ("sample_index", sample_index)):
+        if not (isinstance(v, numbers.Integral) and 0 <= v < 2 ** 64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
+
+
+def _philox(seed, sample_index):
+    """The generator of draw (seed, sample_index); both must fit in uint64."""
+    _check_key(seed, sample_index)
     key = np.array([seed, sample_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    pairs = (count + 1) // 2
-    u = gen.random(2 * pairs)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _box_muller(u, count):
+    """``count`` standard normals from 2 * ceil(count / 2) uniforms on [0, 1)."""
+    pairs = u.size // 2
     u1 = 1.0 - u[:pairs]  # (0, 1]: keeps the log finite
     u2 = u[pairs:]
     r = np.sqrt(-2.0 * np.log(u1))
@@ -57,6 +73,12 @@ def gaussian_stream(seed, sample_index, count):
     z[0::2] = r * np.cos(2.0 * np.pi * u2)
     z[1::2] = r * np.sin(2.0 * np.pi * u2)
     return z[:count]
+
+
+def gaussian_stream(seed, sample_index, count):
+    """``count`` standard normals from Philox(key=(seed, index)) + Box-Muller."""
+    u = _philox(seed, sample_index).random(2 * ((count + 1) // 2))
+    return _box_muller(u, count)
 
 
 def gue_matrix(n, seed, sample_index=0):
@@ -80,11 +102,25 @@ def gue_matrix(n, seed, sample_index=0):
     return A, B
 
 
-def _hermitian_eigs_by_embedding(A, B):
-    # [[A, -B], [B, A]] carries each eigenvalue of A + iB twice
-    M = np.block([[A, -B], [B, A]])
-    ev = np.linalg.eigvalsh(M)
-    return 0.5 * (ev[0::2] + ev[1::2])
+def hermite_tridiagonal(n, seed, sample_index=0):
+    """Diagonal and off-diagonal of the beta = 2 Hermite tridiagonal model.
+
+    Diagonal N(0, 2)/sqrt(2n), off-diagonals chi_{2k}/sqrt(2n) for
+    k = n-1, ..., 1 (Dumitriu-Edelman): the eigenvalues have the law of
+    ``sample_gue_eigs(n, ...)``.  The first 2 ceil(n/2) uniforms of
+    Philox(key=(seed, index)) give the diagonal by Box-Muller; the next
+    n(n-1)/2 give each chi^2_{2k} as a sum of k exact chi^2_2 = -2 log U.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    head = 2 * ((n + 1) // 2)
+    u = _philox(seed, sample_index).random(head + n * (n - 1) // 2)
+    scale = 1.0 / math.sqrt(2.0 * n)
+    d = _box_muller(u[:head], n) * (math.sqrt(2.0) * scale)
+    sizes = np.arange(n - 1, 0, -1)
+    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    chi2 = np.add.reduceat(-2.0 * np.log(1.0 - u[head:]), starts)
+    return d, np.sqrt(chi2) * scale
 
 
 def sample_gue_eigs(n, seed, sample_index=0):
@@ -96,7 +132,7 @@ def sample_gue_eigs(n, seed, sample_index=0):
     if n < 2:
         raise ValueError("need n >= 2")
     A, B = gue_matrix(n, seed, sample_index)
-    lam = _hermitian_eigs_by_embedding(A, B)
+    lam = np.linalg.eigvalsh(A + 1j * B)
     xi = float(n) ** (2.0 / 3.0) * (lam - 2.0)
     return EnsembleSample(n=n, seed=seed, sample_index=sample_index,
                           eigenvalues=lam, scaled_edge=xi)
@@ -113,17 +149,30 @@ def sample_wishart_eigs(n, seed, sample_index=0):
 
 
 def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
-    """Empirical probabilities that (alpha, inf) holds exactly k scaled points."""
+    """Empirical probabilities that (alpha, inf) holds exactly k scaled points.
+
+    Draw ``idx`` is ``hermite_tridiagonal(n, seed, idx)``; its scaled points
+    above alpha are its eigenvalues above 2 + alpha n^{-2/3}, counted by
+    bisection.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if math.isnan(alpha):
+        raise ValueError("alpha must not be NaN")
+    _check_key(seed, samples - 1)
     t0 = time.time()
+    cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)
     counts = np.zeros(kmax + 1, dtype=np.int64)
     overflow = 0
     for idx in range(samples):
-        xi = sample_gue_eigs(n, seed, idx).scaled_edge
-        k = int(np.count_nonzero(xi > alpha))
+        if cut == math.inf:  # stebz rejects an empty (inf, inf] window
+            k = 0
+        else:
+            d, e = hermite_tridiagonal(n, seed, idx)
+            k = eigvalsh_tridiagonal(d, e, select="v",
+                                     select_range=(cut, math.inf)).size
         if k <= kmax:
             counts[k] += 1
         else:
@@ -132,6 +181,7 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
     se = np.sqrt(probs * (1.0 - probs) / samples)
     manifest = {
         "ensemble": "gue",
+        "model": "hermite-tridiagonal",
         "n": n,
         "samples": samples,
         "alpha": float(alpha),

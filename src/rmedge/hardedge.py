@@ -17,7 +17,7 @@ from .errors import TruncationError
 from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
                       qbessel_kernel)
 from .linop import discretize, fredholm_det, log_det, sym_eigen
-from .specfun import bessel_j, gauss_legendre, unimodular_gamma_ratio
+from .specfun import bessel_jv, gauss_legendre, unimodular_gamma_ratio
 
 __all__ = [
     "HardEdgeConfig",
@@ -208,7 +208,7 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
     rs = math.sqrt(s)
 
     def ev(u, v):
-        return 2.0 * np.sqrt(u * v) * bessel_j(nu, rs * u * v)[0]
+        return 2.0 * np.sqrt(u * v) * bessel_jv(nu, rs * u * v)
 
     spec_u = KernelSpec("jnu_scaled_u", {"nu": nu, "s": s}, (0.0, math.inf), ev)
     op = discretize(spec_u, (0.0, 1.0), n)
@@ -229,7 +229,7 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
     def f_interp(x):
         # f(x) = (1/lam) int_0^1 J_nu(sqrt(s x y)) f(y) dy in the u variable
         arg = rs * np.sqrt(np.asarray(x, dtype=float))
-        ker = bessel_j(nu, arg[:, None] * u_nodes[None, :])[0]
+        ker = bessel_jv(nu, arg[:, None] * u_nodes[None, :])
         return (ker @ (w_nodes * 2.0 * u_nodes * f_vals)) / lam[0]
 
     # the Hankel eigenfunction is already unit in the weights; match its sign

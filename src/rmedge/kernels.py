@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import TruncationError
-from .specfun import airy, bessel_j, gauss_legendre
+from .specfun import airy, bessel_jv, gauss_legendre
 
 __all__ = [
     "KernelSpec",
@@ -170,7 +170,7 @@ def bessel_integrable_kernel(family, params, domain, nu, arg, weight, c,
     def ab(x):
         s = arg(x)
         w = weight(s)
-        return w * bessel_j(nu, s)[0], -w * s * bessel_j(nu + 1.0, s)[0]
+        return w * bessel_jv(nu, s), -w * s * bessel_jv(nu + 1.0, s)
 
     def denom(x):
         s = arg(x)
@@ -234,7 +234,7 @@ def bessel_log_symbol_kernel(nu, ell=0.0):
 
     def sym(s):
         r = np.exp(-ell - np.asarray(s, dtype=float))
-        return r * bessel_j(nu, r)[0]
+        return r * bessel_jv(nu, r)
 
     return hankel_symbol_kernel(sym, 18.0, "bessel_log_symbol", {"nu": nu, "ell": ell},
                                 domain=(-math.inf, math.inf))

@@ -20,6 +20,7 @@ __all__ = [
     "periodic_rule",
     "airy",
     "bessel_j",
+    "bessel_jv",
     "log_gamma_complex",
 ]
 
@@ -127,13 +128,18 @@ def airy(x):
     return ai, aip
 
 
-def bessel_j(nu, x):
-    """Bessel function of the first kind J_nu and its derivative, nu > -1/2, x >= 0."""
+def bessel_jv(nu, x):
+    """Bessel function of the first kind J_nu alone, nu > -1/2, x >= 0."""
     if not nu > -0.5:
         raise ValueError("order must exceed -1/2")
     if np.any(np.asarray(x) < 0):
         raise ValueError("argument must be nonnegative")
-    return _sp.jv(nu, x), _sp.jvp(nu, x, 1)
+    return _sp.jv(nu, x)
+
+
+def bessel_j(nu, x):
+    """J_nu and its derivative J_nu', on the domain of ``bessel_jv``."""
+    return bessel_jv(nu, x), _sp.jvp(nu, x, 1)
 
 
 def log_gamma_complex(z):

@@ -173,6 +173,11 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "sample.csv.manifest.json").read_text())
         assert manifest["seed"] == 9
 
+    def test_sample_manifest_names_the_model(self, tmp_path):
+        run(tmp_path, "sample", "--n", "20", "--samples", "5", "--seed", "3", "--kmax", "2")
+        manifest = json.loads((tmp_path / "sample.csv.manifest.json").read_text())
+        assert manifest["model"] == "hermite-tridiagonal"
+
 
 class TestConfigAndErrors:
     def test_config_presets_and_flag_override(self, tmp_path):

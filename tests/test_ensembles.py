@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rmedge.ensembles import (gaussian_stream, gue_matrix,
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.stats import ks_2samp
+
+from rmedge import ensembles
+from rmedge.ensembles import (gaussian_stream, gue_matrix, hermite_tridiagonal,
                               marchenko_pastur_density, sample_gue_eigs,
                               sample_wishart_eigs, semicircle_density,
                               soft_edge_gap_counts)
@@ -126,6 +130,114 @@ class TestGapCounts:
         res = soft_edge_gap_counts(30, 100, 0.0, seed=5)
         p = res.probs
         assert np.allclose(res.std_errors, np.sqrt(p * (1 - p) / 100))
+
+
+class TestHermiteTridiagonal:
+    def test_shapes_and_positive_off_diagonal(self):
+        d, e = hermite_tridiagonal(12, 3, 5)
+        assert d.shape == (12,) and e.shape == (11,)
+        assert np.all(e > 0)
+
+    def test_bit_reproducible(self):
+        a = hermite_tridiagonal(40, 9, 17)
+        b = hermite_tridiagonal(40, 9, 17)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_draws_do_not_depend_on_the_sample_count(self):
+        # draw idx is pinned by (seed, idx), so a longer run only appends draws
+        n, seed = 30, 21
+        cut = 2.0 + 0.5 * n ** (-2.0 / 3.0)
+        ks = [int(np.count_nonzero(eigvalsh_tridiagonal(*hermite_tridiagonal(n, seed, i))
+                                   > cut)) for i in range(40)]
+        for samples in (7, 40):
+            res = soft_edge_gap_counts(n, samples, 0.5, seed=seed)
+            want = np.bincount(ks[:samples], minlength=9)[:9] / samples
+            assert np.array_equal(res.probs, want)
+
+    def test_selected_count_matches_full_spectrum(self):
+        rng = np.random.default_rng(0)
+        for idx in range(30):
+            n = int(rng.integers(2, 60))
+            d, e = hermite_tridiagonal(n, 4, idx)
+            cut = float(rng.uniform(1.5, 2.3))
+            sel = eigvalsh_tridiagonal(d, e, select="v", select_range=(cut, math.inf))
+            full = eigvalsh_tridiagonal(d, e)
+            assert sel.size == np.count_nonzero(full > cut)
+
+    def test_trace_moments(self):
+        # E tr H = 0 and E tr H^2 = n, as for the dense GUE draw
+        n, draws = 10, 2000
+        tr = np.empty(draws)
+        tr2 = np.empty(draws)
+        for i in range(draws):
+            d, e = hermite_tridiagonal(n, 6, i)
+            tr[i] = d.sum()
+            tr2[i] = (d * d).sum() + 2.0 * (e * e).sum()
+        # Var tr H = 1 and Var tr H^2 = 2 for this normalization
+        assert abs(tr.mean()) < 4.0 / math.sqrt(draws)
+        assert abs(tr2.mean() - n) < 4.0 * math.sqrt(2.0 / draws)
+
+    def test_top_eigenvalue_law_matches_dense_gue(self):
+        n, draws = 8, 4000
+        tri = [eigvalsh_tridiagonal(*hermite_tridiagonal(n, 101, i))[-1]
+               for i in range(draws)]
+        dense = [sample_gue_eigs(n, 202, i).eigenvalues[-1] for i in range(draws)]
+        assert ks_2samp(tri, dense).pvalue >= 0.01
+
+    def test_size_validation(self):
+        with pytest.raises(ValueError):
+            hermite_tridiagonal(1, 0)
+
+
+class TestGapCountArguments:
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            soft_edge_gap_counts(20, 10, math.nan, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            soft_edge_gap_counts(20, 10, 0.0, seed=-1)
+        with pytest.raises(ValueError):
+            soft_edge_gap_counts(20, 10, math.inf, seed=-1)
+
+    def test_negative_key_rejected_by_every_sampler(self):
+        draws = (lambda seed, idx: gaussian_stream(seed, idx, 4),
+                 lambda seed, idx: hermite_tridiagonal(4, seed, idx),
+                 lambda seed, idx: sample_gue_eigs(4, seed, idx),
+                 lambda seed, idx: sample_wishart_eigs(4, seed, idx))
+        for draw in draws:
+            # a float key would be truncated to another draw's key
+            for seed, idx in ((-1, 0), (0, -1), (2 ** 64, 0), (1.5, 0), (0, 2.0)):
+                with pytest.raises(ValueError):
+                    draw(seed, idx)
+
+    def test_infinite_cut_sees_nothing_without_lapack(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        monkeypatch.setattr(ensembles, "eigvalsh_tridiagonal", no_lapack)
+        res = soft_edge_gap_counts(20, 10, math.inf, seed=1)
+        assert res.probs[0] == 1.0
+
+    def test_minus_infinity_counts_every_eigenvalue(self):
+        res = soft_edge_gap_counts(6, 10, -math.inf, seed=1)
+        assert res.probs[6] == 1.0
+        res = soft_edge_gap_counts(20, 10, -math.inf, seed=1, kmax=8)
+        assert res.probs.sum() == 0.0 and res.manifest["overflow_count"] == 10
+
+    def test_manifest_names_the_model(self):
+        res = soft_edge_gap_counts(20, 3, 0.0, seed=4)
+        assert res.manifest["model"] == "hermite-tridiagonal"
+        assert res.manifest["ensemble"] == "gue"
+
+    def test_never_forms_a_dense_matrix(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense GUE draw")
+
+        monkeypatch.setattr(ensembles, "gue_matrix", dense)
+        monkeypatch.setattr(ensembles, "gaussian_stream", dense)
+        res = soft_edge_gap_counts(50, 20, 0.0, seed=8)
+        assert res.probs.sum() + res.manifest["overflow_count"] / 20 == 1.0
 
 
 def test_density_normalizations():

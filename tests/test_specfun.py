@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rmedge import specfun
-from rmedge.specfun import (QuadRule, airy, bessel_j, gauss_legendre,
+from rmedge.specfun import (QuadRule, airy, bessel_j, bessel_jv, gauss_legendre,
                             log_gamma_complex, periodic_rule,
                             unimodular_gamma_ratio)
 
@@ -203,6 +203,33 @@ class TestBesselJ:
                 d = (4 * d_xjp(nu, x, h / 2) - d_xjp(nu, x, h)) / 3
                 j0 = bessel_j(nu, x)[0]
                 assert abs(d + (x - nu * nu / x) * j0) < 1e-8
+
+
+class TestBesselJv:
+    def test_matches_the_pair_api(self):
+        x = np.linspace(0.0, 30.0, 301)
+        for nu in (0.0, 0.5, 2.0, 7.25):
+            assert np.array_equal(bessel_jv(nu, x), bessel_j(nu, x)[0])
+
+    def test_shares_the_domain_checks(self):
+        with pytest.raises(ValueError):
+            bessel_jv(0.5, -1.0)
+        with pytest.raises(ValueError):
+            bessel_jv(-0.75, 1.0)
+
+    def test_library_never_evaluates_the_derivative(self, monkeypatch):
+        # the hard-edge and Bessel-kernel routes read J_nu only
+        from rmedge.hardedge import HardEdgeConfig, bessel_det_identity, phi_eigen_correspondence
+        from rmedge.kernels import bessel_hard_kernel
+        from rmedge.linop import discretize
+
+        def no_jvp(*args, **kwargs):
+            raise AssertionError("jvp evaluated")
+
+        monkeypatch.setattr(specfun._sp, "jvp", no_jvp)
+        bessel_det_identity(HardEdgeConfig(0.5, 0.5), 1.0)
+        phi_eigen_correspondence(0.5, 0.5, n=20, top=2)
+        discretize(bessel_hard_kernel(2.0), (0.0, 4.0), 16)
 
 
 class TestLogGamma:
