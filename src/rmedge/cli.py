@@ -4,7 +4,8 @@ Scalar reports are JSON; curves are CSV with 17-significant-digit floats.
 Every output file is paired with ``<file>.manifest.json`` recording the
 command, the full parameter map, the tool version, seeds where applicable
 and the wall time, so a run can be reproduced to the last printed digit.
-A flat key=value config file can preset flags; explicit flags win.
+A flat key=value config file can preset flags; explicit flags win, and a
+key that no subcommand has as a flag is refused.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ensembles, hardedge, hill, kernels, linop, painleve
 from .errors import RmedgeError
 
 _CACHE_ENV = "RMEDGE_CACHE_DIR"
@@ -26,21 +27,6 @@ _CACHE_ENV = "RMEDGE_CACHE_DIR"
 
 def _fmt(v):
     return f"{float(v):.17g}"
-
-
-def _write_manifest(path, command, params, seed=None, wall=None, outputs=(), **extra):
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "version": __version__,
-        "seed": seed,
-        "wall_time_s": wall,
-        "outputs": list(outputs),
-        **extra,
-    }
-    with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path, header, rows):
@@ -63,54 +49,42 @@ def _parse_hi(text):
     return float(text)
 
 
-def _kernel_from_args(args):
-    from . import kernels
-    name = args.kernel
-    if name == "sine":
-        return kernels.sine_kernel(args.t)
-    if name == "airy":
-        return kernels.airy_kernel()
-    if name == "bessel-hard":
-        return kernels.bessel_hard_kernel(args.nu)
-    if name == "airy-symbol":
-        return kernels.airy_symbol_kernel(shift=args.shift)
-    if name == "bessel-log":
-        return kernels.bessel_log_symbol_kernel(args.nu, ell=args.ell)
-    if name == "sine-circle":
-        return kernels.sine_circle_kernel(args.ncirc)
-    raise ValueError(f"unknown kernel {name!r}")
+# --kernel name -> spec from the parsed flags
+_KERNELS = {
+    "sine": lambda a: kernels.sine_kernel(a.t),
+    "airy": lambda a: kernels.airy_kernel(),
+    "bessel-hard": lambda a: kernels.bessel_hard_kernel(a.nu),
+    "airy-symbol": lambda a: kernels.airy_symbol_kernel(shift=a.shift),
+    "bessel-log": lambda a: kernels.bessel_log_symbol_kernel(a.nu, ell=a.ell),
+    "sine-circle": lambda a: kernels.sine_circle_kernel(a.ncirc),
+}
 
 
-def _cmd_det(args):
-    from .linop import discretize, fredholm_det
-    t0 = time.time()
-    spec = _kernel_from_args(args)
-    op = discretize(spec, (args.interval[0], _parse_hi(args.interval[1])), args.n)
-    value = fredholm_det(op, args.z)
-    payload = {"determinant": value, "kernel": spec.tag, "z": args.z, "n": args.n,
-               "interval": [op.rule.interval[0], op.rule.interval[1]]}
-    out = args.out or "det.json"
-    _write_json(out, payload)
-    _write_manifest(out, "det", _params(args), wall=time.time() - t0, outputs=[out])
-    print(f"det(I - z K) = {_fmt(value)}  -> {out}")
-    return 0
+def _operator(args):
+    spec = _KERNELS[args.kernel](args)
+    return linop.discretize(spec, (args.interval[0], _parse_hi(args.interval[1])), args.n)
 
 
-def _cmd_gap(args):
-    from .linop import discretize, gap_probs
-    t0 = time.time()
-    spec = _kernel_from_args(args)
-    op = discretize(spec, (args.interval[0], _parse_hi(args.interval[1])), args.n)
-    g = gap_probs(op, args.kmax)
-    out = args.out or "gap.csv"
+# Each body computes, writes its payload to ``out`` and returns the line to
+# print with the keys it adds to (or overrides in) the manifest.
+
+def _cmd_det(args, out):
+    op = _operator(args)
+    value = linop.fredholm_det(op, args.z)
+    _write_json(out, {"determinant": value, "kernel": op.kernel_tag, "z": args.z,
+                      "n": args.n, "interval": list(op.rule.interval)})
+    return f"det(I - z K) = {_fmt(value)}  -> {out}", {}
+
+
+def _cmd_gap(args, out):
+    op = _operator(args)
+    g = linop.gap_probs(op, args.kmax)
     if args.format == "json":
-        _write_json(out, {"kernel": spec.tag, "interval": list(op.rule.interval),
+        _write_json(out, {"kernel": op.kernel_tag, "interval": list(op.rule.interval),
                           "E": [float(p) for p in g.probs]})
     else:
-        _write_csv(out, ["k", "E_k"], list(enumerate(g.probs)))
-    _write_manifest(out, "gap", _params(args), wall=time.time() - t0, outputs=[out])
-    print(f"E(0..{args.kmax}) written -> {out}")
-    return 0
+        _write_csv(out, ["k", "E_k"], enumerate(g.probs))
+    return f"E(0..{args.kmax}) written -> {out}", {}
 
 
 def _tw_cache_path(args):
@@ -124,109 +98,72 @@ def _tw_cache_path(args):
     return os.path.join(cache_dir, f"tw_{hashlib.sha256(key.encode()).hexdigest()}.csv")
 
 
-def _cmd_tw(args):
-    from .painleve import tw_cdf, tw_cdf_det
-    t0 = time.time()
-    out = args.out or "tw.csv"
+def _cmd_tw(args, out):
     cache = _tw_cache_path(args)
     if cache and os.path.exists(cache):
-        with open(cache) as fh, open(out, "w") as dst:
-            dst.write(fh.read())
-        _write_manifest(out, "tw", _params(args), wall=time.time() - t0,
-                        outputs=[out, cache], cache="hit")
-        print(f"cached Tracy-Widom table -> {out}")
-        return 0
+        shutil.copyfile(cache, out)
+        return (f"cached Tracy-Widom table -> {out}",
+                {"outputs": [out, cache], "cache": "hit"})
     xs = np.round(np.arange(args.xmin, args.xmax + args.step / 2, args.step), 12)
-    painleve_curve = tw_cdf(args.t, xs)
-    det_curve = tw_cdf_det(args.t, xs, n=args.n)
+    painleve_curve = painleve.tw_cdf(args.t, xs)
+    det_curve = painleve.tw_cdf_det(args.t, xs, n=args.n)
     rows = [(x, fp, fd, abs(fp - fd), w) for x, fp, fd, w in
             zip(xs, painleve_curve.F_values, det_curve.F_values,
                 painleve_curve.w_values)]
     _write_csv(out, ["x", "F_painleve", "F_det", "gap", "w"], rows)
-    outputs = [out]
+    extra = {"cache": "off"}
     if cache:
         # a reader never sees a partly written table
         tmp = f"{cache}.{os.getpid()}.tmp"
         shutil.copyfile(out, tmp)
         os.replace(tmp, cache)
-        outputs.append(cache)
-    _write_manifest(out, "tw", _params(args), wall=time.time() - t0, outputs=outputs,
-                    cache="miss" if cache else "off")
-    print(f"Tracy-Widom table (t={args.t:g}, {xs.size} points) -> {out}")
-    return 0
+        extra = {"outputs": [out, cache], "cache": "miss"}
+    return f"Tracy-Widom table (t={args.t:g}, {xs.size} points) -> {out}", extra
 
 
-def _cmd_hardedge(args):
-    from .hardedge import HardEdgeConfig, bessel_det_identity
-    t0 = time.time()
-    cfg = HardEdgeConfig(nu=args.nu, a=args.a)
-    lhs, rhs, gap = bessel_det_identity(cfg, args.z, n=args.n)
-    payload = {"nu": args.nu, "a": args.a, "alpha": cfg.alpha, "z": args.z,
-               "det_kernel_route": lhs, "det_hankel_route": rhs, "gap": gap}
-    out = args.out or "hardedge.json"
-    _write_json(out, payload)
-    _write_manifest(out, "hardedge", _params(args), wall=time.time() - t0,
-                    outputs=[out])
-    print(f"hard-edge identity gap = {gap:.3e} -> {out}")
-    return 0
+def _cmd_hardedge(args, out):
+    cfg = hardedge.HardEdgeConfig(nu=args.nu, a=args.a)
+    lhs, rhs, gap = hardedge.bessel_det_identity(cfg, args.z, n=args.n)
+    _write_json(out, {"nu": args.nu, "a": args.a, "alpha": cfg.alpha, "z": args.z,
+                      "det_kernel_route": lhs, "det_hankel_route": rhs, "gap": gap})
+    return f"hard-edge identity gap = {gap:.3e} -> {out}", {}
 
 
-def _cmd_hill(args):
-    from .hill import _discriminants_batch, periodic_spectrum
-    t0 = time.time()
-    spectrum = periodic_spectrum(args.alpha, args.count)
-    out = args.out or "hill.csv"
+def _cmd_hill(args, out):
+    spectrum = hill.periodic_spectrum(args.alpha, args.count)
     rows = [("root", lam, tag) for lam, tag in
             zip(spectrum.lambdas, spectrum.period_tags)]
     top = float(spectrum.lambdas[-1]) + 2.0
     scan = np.linspace(-abs(args.alpha) - 1.0, top, args.scan_points)
     rows += [("scan", lam, _fmt(delta))
-             for lam, delta in zip(scan, _discriminants_batch(args.alpha, scan))]
+             for lam, delta in zip(scan, hill._discriminants_batch(args.alpha, scan))]
     _write_csv(out, ["kind", "lambda", "tag_or_delta"], rows)
-    _write_manifest(out, "hill", _params(args), wall=time.time() - t0, outputs=[out])
-    print(f"{args.count} periodic eigenvalues + {args.scan_points} discriminant "
-          f"samples -> {out}")
-    return 0
+    return (f"{args.count} periodic eigenvalues + {args.scan_points} discriminant "
+            f"samples -> {out}"), {}
 
 
-def _cmd_mathieu(args):
-    from .hill import mathieu_eigencheck, mathieu_tw_kernel
-    t0 = time.time()
-    kernel = mathieu_tw_kernel(args.alpha, args.index)
-    report = mathieu_eigencheck(kernel, n=args.n)
-    payload = {"alpha": args.alpha, "index": args.index, "lambda": kernel.lam,
-               "checks": report["checks"],
-               "skipped_degenerate": report["skipped_degenerate"],
-               "max_residual": report["max_residual"]}
-    out = args.out or "mathieu.json"
-    _write_json(out, payload)
-    _write_manifest(out, "mathieu", _params(args), wall=time.time() - t0,
-                    outputs=[out])
-    print(f"Mathieu kernel at lambda = {kernel.lam:.9g}; worst ODE residual "
-          f"{report['max_residual']:.3e} -> {out}")
-    return 0
+def _cmd_mathieu(args, out):
+    kernel = hill.mathieu_tw_kernel(args.alpha, args.index)
+    report = hill.mathieu_eigencheck(kernel, n=args.n)
+    _write_json(out, {"alpha": args.alpha, "index": args.index, "lambda": kernel.lam,
+                      "checks": report["checks"],
+                      "skipped_degenerate": report["skipped_degenerate"],
+                      "max_residual": report["max_residual"]})
+    return (f"Mathieu kernel at lambda = {kernel.lam:.9g}; worst ODE residual "
+            f"{report['max_residual']:.3e} -> {out}"), {}
 
 
-def _cmd_sample(args):
-    from .ensembles import soft_edge_gap_counts
-    from .kernels import airy_symbol_kernel
-    from .linop import discretize, gap_probs, operator_square
-    t0 = time.time()
-    if args.ensemble != "gue":
-        raise ValueError("soft-edge counts are defined for the gue ensemble")
-    res = soft_edge_gap_counts(args.n, args.samples, args.alpha, seed=args.seed,
-                               kmax=args.kmax)
-    predicted = gap_probs(
-        operator_square(discretize(airy_symbol_kernel(shift=args.alpha),
-                                   (0.0, math.inf), 100)), args.kmax).probs
-    out = args.out or "sample.csv"
+def _cmd_sample(args, out):
+    res = ensembles.soft_edge_gap_counts(args.n, args.samples, args.alpha,
+                                         seed=args.seed, kmax=args.kmax)
+    airy_sq = linop.operator_square(linop.discretize(
+        kernels.airy_symbol_kernel(shift=args.alpha), (0.0, math.inf), 100))
+    predicted = linop.gap_probs(airy_sq, args.kmax).probs
     rows = [(k, res.probs[k], res.std_errors[k], predicted[k])
             for k in range(args.kmax + 1)]
     _write_csv(out, ["k", "empirical_E_k", "std_error", "predicted_E_k"], rows)
-    _write_manifest(out, "sample", _params(args), seed=args.seed,
-                    wall=time.time() - t0, outputs=[out], model=res.manifest["model"])
-    print(f"empirical vs predicted E(k), n={args.n}, {args.samples} samples -> {out}")
-    return 0
+    return (f"empirical vs predicted E(k), n={args.n}, {args.samples} samples -> {out}",
+            {"seed": args.seed, "model": res.manifest["model"]})
 
 
 def _cmd_verify(args):
@@ -235,9 +172,28 @@ def _cmd_verify(args):
     return 0 if all(r["passed"] for r in results) else 1
 
 
+# subcommand -> extension of its default output file; verify writes none
+_EXTENSIONS = {"det": "json", "gap": "csv", "tw": "csv", "hardedge": "json",
+               "hill": "csv", "mathieu": "json", "sample": "csv"}
+
+
 def _params(args):
     skip = {"func", "config"}
     return {k: v for k, v in vars(args).items() if k not in skip}
+
+
+def _run(args):
+    """Run one subcommand: time its body, write the manifest, print its line."""
+    if args.command not in _EXTENSIONS:
+        return args.func(args)
+    t0 = time.time()
+    out = args.out or f"{args.command}.{_EXTENSIONS[args.command]}"
+    message, extra = args.func(args, out)
+    _write_json(out + ".manifest.json", {
+        "command": args.command, "parameters": _params(args), "version": __version__,
+        "seed": None, "wall_time_s": time.time() - t0, "outputs": [out], **extra})
+    print(message)
+    return 0
 
 
 def _build_parser():
@@ -248,9 +204,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_kernel_flags(sp):
-        sp.add_argument("--kernel", required=True,
-                        choices=["sine", "airy", "bessel-hard", "airy-symbol",
-                                 "bessel-log", "sine-circle"])
+        sp.add_argument("--kernel", required=True, choices=list(_KERNELS))
         sp.add_argument("--t", type=float, default=1.0, help="sine kernel density")
         sp.add_argument("--nu", type=float, default=0.5, help="Bessel order")
         sp.add_argument("--ell", type=float, default=0.0, help="log-variable shift")
@@ -315,16 +269,20 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.set_defaults(func=_cmd_verify)
-    return p
+    return p, list(sub.choices.values())
 
 
-def _apply_config(parser, argv):
-    # pre-scan for --config, then install its key=value pairs as defaults
+def _apply_config(subparsers, argv):
+    """Install a --config file's key=value pairs as flag defaults.
+
+    A key must name a flag of some subcommand; each subcommand takes the keys
+    it has, so one file can serve several commands.
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
-        return argv
+        return
     defaults = {}
     with open(known.config) as fh:
         for line in fh:
@@ -335,28 +293,30 @@ def _apply_config(parser, argv):
                 raise ValueError(f"malformed config line: {line!r}")
             key, value = line.split("=", 1)
             defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        usable = {k: v for k, v in defaults.items()
-                  if any(a.dest == k for a in action._actions)}
-        for k, v in list(usable.items()):
-            act = next(a for a in action._actions if a.dest == k)
-            if act.type is not None:
-                usable[k] = act.type(v)
-        action.set_defaults(**usable)
-    return argv
+    flags = {a.dest for sp in subparsers for a in sp._actions}
+    unknown = sorted(set(defaults) - flags)
+    if unknown:
+        raise ValueError(f"config keys match no flag: {', '.join(unknown)}")
+    for sp in subparsers:
+        values = {}
+        for a in sp._actions:
+            if a.dest in defaults:
+                value = defaults[a.dest] if a.type is None else a.type(defaults[a.dest])
+                # argparse checks choices on flags only, never on defaults
+                if a.choices is not None and value not in a.choices:
+                    raise ValueError(f"config {a.dest}={value!r} is not one of "
+                                     f"{', '.join(a.choices)}")
+                values[a.dest] = value
+        sp.set_defaults(**values)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except RmedgeError as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        _apply_config(subparsers, argv)
+        return _run(parser.parse_args(argv))
+    except (RmedgeError, ValueError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

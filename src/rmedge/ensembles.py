@@ -161,6 +161,8 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
         raise ValueError("need at least one sample")
     if math.isnan(alpha):
         raise ValueError("alpha must not be NaN")
+    if not isinstance(kmax, numbers.Integral) or kmax < 0:
+        raise ValueError("kmax must be nonnegative")
     _check_key(seed, samples - 1)
     t0 = time.time()
     cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)

@@ -11,7 +11,6 @@ A(x + y), so that squares can be formed by quadrature, see
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -295,11 +294,6 @@ def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=Non
 # Hankel squares
 
 
-@lru_cache(maxsize=16)
-def _square_rule(L):
-    return gauss_legendre(200, 0.0, L)
-
-
 def _check_tail(spec, x, y, L):
     a1 = np.abs(spec.symbol(np.asarray(x, dtype=float) + L))
     a2 = np.abs(spec.symbol(L + np.asarray(y, dtype=float)))
@@ -322,7 +316,7 @@ def hankel_square_grid(spec, xs, ys, L=None):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     _check_tail(spec, xs, ys, L)
-    rule = _square_rule(L)
+    rule = gauss_legendre(200, 0.0, L)
     u = rule.nodes
     left = spec.symbol(xs[:, None] + u[None, :])
     right = spec.symbol(u[:, None] + ys[None, :])

@@ -57,28 +57,23 @@ def _legendre_reference(n):
     Nodes are roots of the degree-n Legendre polynomial, found by Newton
     iteration from the Chebyshev-like initial guess.
     """
-    k = np.arange(n)
-    x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
-    for _ in range(100):
-        # evaluate P_n and P_{n-1} by the three-term recurrence
+    def legendre(x):
+        # P_n from P_{n-1} by the three-term recurrence, then P_n'
         p_prev = np.ones_like(x)
         p = x.copy()
         for j in range(2, n + 1):
             p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-        if n == 1:
-            dp = np.ones_like(x)
-        else:
-            dp = n * (p_prev - x * p) / (1.0 - x * x)
+        return p, np.ones_like(x) if n == 1 else n * (p_prev - x * p) / (1.0 - x * x)
+
+    k = np.arange(n)
+    x = np.cos(np.pi * (4 * k + 3) / (4 * n + 2))
+    for _ in range(100):
+        p, dp = legendre(x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
-    # final derivative for the weights
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p, p_prev = ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, p
-    dp = np.ones_like(x) if n == 1 else n * (p_prev - x * p) / (1.0 - x * x)
+    _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # every caller shares these arrays
     x.flags.writeable = False

@@ -215,3 +215,104 @@ class TestConfigAndErrors:
                    "--interval", "0", "200", "--kmax", "2", "--n", "80")
         assert code == 1
         assert "NearSingularError" in capsys.readouterr().err
+
+
+# one small run per file-writing subcommand, with its default output file
+RUNS = {
+    "det": ("det.json", ["--kernel", "sine", "--t", "1", "--interval", "0", "1",
+                         "--n", "16"]),
+    "gap": ("gap.csv", ["--kernel", "sine", "--t", "1", "--interval", "0", "1",
+                        "--kmax", "2", "--n", "16"]),
+    "tw": ("tw.csv", ["--t", "1", "--xmin", "-0.5", "--xmax", "0", "--step", "0.5",
+                      "--n", "40"]),
+    "hardedge": ("hardedge.json", ["--nu", "0.5", "--a", "0.5", "--n", "30"]),
+    "hill": ("hill.csv", ["--alpha", "0", "--count", "3", "--scan-points", "4"]),
+    "mathieu": ("mathieu.json", ["--alpha", "1", "--index", "1", "--n", "128"]),
+    "sample": ("sample.csv", ["--n", "20", "--samples", "5", "--seed", "3",
+                              "--kmax", "2"]),
+}
+MANIFEST_KEYS = {"command", "parameters", "version", "seed", "wall_time_s", "outputs"}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_manifest_keys(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.delenv("RMEDGE_CACHE_DIR", raising=False)
+        default, argv = RUNS[command]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# no presets\n")
+        assert run(tmp_path, "--config", str(cfg), command, *argv) == 0
+        manifest = json.loads((tmp_path / f"{default}.manifest.json").read_text())
+        extra = {"tw": {"cache"}, "sample": {"model"}}.get(command, set())
+        assert set(manifest) == MANIFEST_KEYS | extra
+        assert manifest["command"] == command
+        assert manifest["outputs"] == [default]
+        assert manifest["wall_time_s"] >= 0.0
+        assert manifest["seed"] == (3 if command == "sample" else None)
+        assert not {"func", "config"} & set(manifest["parameters"])
+        assert manifest["parameters"]["out"] is None
+        assert capsys.readouterr().out.rstrip().endswith(f"-> {default}")
+
+    def test_tw_cache_outputs_name_the_table(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("RMEDGE_CACHE_DIR", str(cache))
+        for state in ("miss", "hit"):
+            run(tmp_path, "tw", *RUNS["tw"][1])
+            manifest = json.loads((tmp_path / "tw.csv.manifest.json").read_text())
+            (table,) = cache.iterdir()
+            assert manifest["cache"] == state
+            assert manifest["outputs"] == ["tw.csv", str(table)]
+
+    @pytest.mark.parametrize("kernel,interval", [
+        ("sine", "1"), ("airy", "inf"), ("bessel-hard", "1"), ("airy-symbol", "inf"),
+        ("bessel-log", "1"), ("sine-circle", "1")])
+    def test_every_kernel_choice_builds(self, tmp_path, kernel, interval):
+        lo = "-2" if kernel == "airy" else "0"
+        code = run(tmp_path, "det", "--kernel", kernel, "--interval", lo, interval,
+                   "--n", "24", "--z", "0.5")
+        assert code == 0
+        assert json.loads((tmp_path / "det.json").read_text())["kernel"]
+
+    def test_sample_refuses_negative_kmax_without_writing(self, tmp_path, capsys):
+        code = run(tmp_path, "sample", "--n", "20", "--samples", "5", "--kmax", "-1")
+        assert code == 1
+        assert "kmax must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "sample.csv").exists()
+
+
+class TestConfigKeys:
+    def test_key_matching_no_flag_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=32\nz=0.5\n")
+        code = run(tmp_path, "--config", str(cfg), "det", "--kernel", "sine",
+                   "--t", "1", "--interval", "0", "1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "nodes" in err
+        assert not (tmp_path / "det.json").exists()
+
+    def test_key_of_another_subcommand_is_allowed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax=3\nscan-points=5\nz=0.5\n")
+        code = run(tmp_path, "--config", str(cfg), "det", "--kernel", "sine",
+                   "--t", "1", "--interval", "0", "1", "--n", "16")
+        assert code == 0
+        assert json.loads((tmp_path / "det.json").read_text())["z"] == 0.5
+
+    def test_value_outside_a_flags_choices_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        code = run(tmp_path, "--config", str(cfg), "gap", "--kernel", "sine",
+                   "--interval", "0", "1", "--kmax", "2", "--n", "16")
+        assert code == 1
+        assert "format='xml'" in capsys.readouterr().err
+        assert not (tmp_path / "gap.csv").exists()
+
+    def test_sample_ensemble_from_config_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ensemble=goe\n")
+        code = run(tmp_path, "--config", str(cfg), "sample", "--n", "20",
+                   "--samples", "5", "--kmax", "2")
+        assert code == 1
+        assert "ensemble='goe'" in capsys.readouterr().err
+        assert not (tmp_path / "sample.csv").exists()

@@ -211,6 +211,15 @@ class TestGapCountArguments:
                 with pytest.raises(ValueError):
                     draw(seed, idx)
 
+    @pytest.mark.parametrize("kmax", [-1, 2.5])
+    def test_meaningless_kmax_rejected_before_any_draw(self, monkeypatch, kmax):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(ensembles, "hermite_tridiagonal", no_draw)
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            soft_edge_gap_counts(20, 5, 0.0, seed=1, kmax=kmax)
+
     def test_infinite_cut_sees_nothing_without_lapack(self, monkeypatch):
         def no_lapack(*args, **kwargs):
             raise AssertionError("eigensolver called")
