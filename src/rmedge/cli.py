@@ -301,11 +301,16 @@ def _apply_config(subparsers, argv):
         values = {}
         for a in sp._actions:
             if a.dest in defaults:
-                value = defaults[a.dest] if a.type is None else a.type(defaults[a.dest])
+                text = defaults[a.dest]
+                try:
+                    value = text if a.type is None else a.type(text)
+                except ValueError:
+                    raise ValueError(f"config {known.config}: {a.dest}={text!r} is not "
+                                     f"a valid {a.type.__name__}") from None
                 # argparse checks choices on flags only, never on defaults
                 if a.choices is not None and value not in a.choices:
-                    raise ValueError(f"config {a.dest}={value!r} is not one of "
-                                     f"{', '.join(a.choices)}")
+                    raise ValueError(f"config {known.config}: {a.dest}={value!r} is not "
+                                     f"one of {', '.join(a.choices)}")
                 values[a.dest] = value
         sp.set_defaults(**values)
 

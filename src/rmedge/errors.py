@@ -21,7 +21,7 @@ class ContractionError(RmedgeError):
 
 
 class NearSingularError(RmedgeError):
-    """An operator eigenvalue is too close to 1 for gap probabilities."""
+    """An eigenvalue is too close to 1/z for gap probabilities or det(I - z K)."""
 
 
 class HypothesisViolationError(RmedgeError):

@@ -127,8 +127,17 @@ def log_det(eigenvalues, z):
 
 
 def fredholm_det(op, z):
-    """det(I - z K) from the discretized spectrum, through :func:`log_det`."""
-    sign, logabs = log_det(sym_eigen(op).eigenvalues, z)
+    """det(I - z K) from the discretized spectrum, through :func:`log_det`.
+
+    Eigenvalues are known to about n eps max|lam| (Weyl), so a factor with
+    |1 - z lam| <= n eps |z| max|lam| has no sign: NearSingularError.
+    """
+    lam = sym_eigen(op).eigenvalues
+    closest = float(np.min(np.abs(1.0 - z * lam)))
+    if closest <= lam.size * np.finfo(float).eps * abs(z) * np.max(np.abs(lam)):
+        raise NearSingularError(f"min |1 - z lam| = {closest:.3g} of {op.kernel_tag} at "
+                                f"z = {z:g} is below the eigenvalue rounding level")
+    sign, logabs = log_det(lam, z)
     return sign * math.exp(logabs)
 
 

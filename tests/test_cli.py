@@ -216,6 +216,13 @@ class TestConfigAndErrors:
         assert code == 1
         assert "NearSingularError" in capsys.readouterr().err
 
+    def test_determinant_past_rounding_level_writes_nothing(self, tmp_path, capsys):
+        code = run(tmp_path, "det", "--kernel", "sine", "--t", "1",
+                   "--interval", "0", "20", "--n", "120")
+        assert code == 1
+        assert "error [NearSingularError]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 # one small run per file-writing subcommand, with its default output file
 RUNS = {
@@ -307,6 +314,15 @@ class TestConfigKeys:
         assert code == 1
         assert "format='xml'" in capsys.readouterr().err
         assert not (tmp_path / "gap.csv").exists()
+
+    def test_malformed_value_names_file_key_and_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=abc\n")
+        code = run(tmp_path, "--config", str(cfg), "hill", "--alpha", "1", "--count", "3")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "n='abc'" in err
+        assert not (tmp_path / "hill.csv").exists()
 
     def test_sample_ensemble_from_config_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -149,6 +149,17 @@ class TestFredholmDet:
         for z in (0.25, 0.9, 2.0):
             assert abs(fredholm_det(op, z) - (1.0 - z)) < 1e-12
 
+    def test_factor_below_rounding_level_raises(self):
+        # top eigenvalue 1 + 4.4e-16: printed as det = -1.08e-183 before
+        op = discretize(sine_kernel(1.0), (0.0, 20.0), 120)
+        with pytest.raises(NearSingularError):
+            fredholm_det(op, 1.0)
+
+    def test_factor_above_rounding_level_is_computed(self):
+        # min |1 - lam| is 23 times n eps max|lam| here
+        op = discretize(sine_kernel(1.0), (0.0, 10.0), 120)
+        assert 0.0 < fredholm_det(op, 1.0) < 1e-50
+
     def test_against_lu_determinant(self):
         op = discretize(sine_kernel(1.0), (0.0, 1.0), 32)
         for z in (0.5, 1.0, 1.7):

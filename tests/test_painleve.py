@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmedge import kernels, painleve
+from rmedge import kernels, painleve, specfun
 from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
 from rmedge.specfun import airy, gauss_legendre
 
@@ -131,6 +131,19 @@ class TestTwCdf:
         n, xs = 100, np.array([-2.0, 0.0, 1.5])
         tw_cdf_det(1.0, xs, n=n)
         assert sum(points) == xs.size * (n * (n + 1) // 2 + 8)
+
+    def test_determinant_route_sends_nothing_above_ten_to_scipy_airy(self, monkeypatch):
+        # above x = 10 specfun.airy reads K_{1/3}, K_{2/3} and never computes Bi
+        seen = []
+        scipy_airy = specfun._sp.airy
+
+        def recorded(x):
+            seen.append(np.max(x, initial=-np.inf))
+            return scipy_airy(x)
+
+        monkeypatch.setattr(specfun._sp, "airy", recorded)
+        tw_cdf_det(1.0, [-5.0, 2.0])
+        assert seen and max(seen) <= 10.0
 
     def test_curve_routes_are_tagged(self):
         xs = np.array([-1.0, 0.0])

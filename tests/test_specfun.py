@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from rmedge import specfun
 from rmedge.specfun import (QuadRule, airy, bessel_j, bessel_jv, gauss_legendre,
@@ -155,6 +156,56 @@ class TestAiry:
             ax, apx = airy(x)
             ay, apy = airy(y)
             assert abs((ax * apy - apx * ay) + (ay * apx - apy * ax)) < 1e-15
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestAiryAboveTen:
+    """Above x = 10 airy forms Ai, Ai' from K_{1/3}, K_{2/3} as AMOS ZAIRY does."""
+
+    def _assert_matches_scipy(self, x):
+        ai, aip = airy(x)
+        want_ai, want_aip, _, _ = sp.airy(x)
+        assert np.array_equal(_bits(ai), _bits(want_ai))
+        assert np.array_equal(_bits(aip), _bits(want_aip))
+
+    def test_bit_identical_at_the_switch(self):
+        for x in (np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, np.inf)):
+            self._assert_matches_scipy(x)
+
+    def test_bit_identical_on_seeded_draws(self):
+        rng = np.random.default_rng(2024)
+        self._assert_matches_scipy(rng.uniform(10.0, 104.0, 20000))
+
+    def test_underflow_matches_scipy_with_positive_zero(self):
+        x = np.array([104.0, 110.0, 150.0, 1e3, 1e5])
+        self._assert_matches_scipy(x)
+        assert not np.any(np.signbit(airy(x)[1]))
+
+    def test_mixed_array_across_the_switch(self):
+        rng = np.random.default_rng(7)
+        x = rng.permutation(np.concatenate([rng.uniform(-8.0, 10.0, 500),
+                                            rng.uniform(10.0, 120.0, 500), [10.0]]))
+        self._assert_matches_scipy(x.reshape(7, 143))
+
+    def test_huge_arguments_underflow_to_zero(self):
+        # ZAIRY fails here and scipy returns NaN
+        for x in (1e8, [1e15, 1e300]):
+            ai, aip = airy(x)
+            assert np.all(ai == 0.0) and np.all(aip == 0.0)
+
+    @pytest.mark.parametrize("x", [12.0, np.float64(3.0), np.array(11.5), 7])
+    def test_scalar_inputs_give_scalars(self, x):
+        for value in airy(x):
+            assert type(value) is np.float64
+
+    def test_array_inputs_keep_their_shape(self):
+        for x, shape in (([1.0, 20.0, -3.0], (3,)), (np.full((2, 3), 11.0), (2, 3)),
+                         (np.linspace(5.0, 15.0, 8).reshape(2, 2, 2), (2, 2, 2))):
+            ai, aip = airy(x)
+            assert ai.shape == aip.shape == shape
 
 
 class TestBesselJ:
