@@ -298,21 +298,24 @@ def _apply_config(subparsers, argv):
     if unknown:
         raise ValueError(f"config keys match no flag: {', '.join(unknown)}")
     for sp in subparsers:
-        values = {}
         for a in sp._actions:
             if a.dest in defaults:
                 text = defaults[a.dest]
+                words = text.split() if a.nargs else [text]  # e.g. interval=0 1
+                if len(words) != (a.nargs or 1):
+                    raise ValueError(f"config {known.config}: {a.dest}={text!r} needs "
+                                     f"{a.nargs} values")
                 try:
-                    value = text if a.type is None else a.type(text)
+                    value = [w if a.type is None else a.type(w) for w in words]
                 except ValueError:
                     raise ValueError(f"config {known.config}: {a.dest}={text!r} is not "
                                      f"a valid {a.type.__name__}") from None
                 # argparse checks choices on flags only, never on defaults
-                if a.choices is not None and value not in a.choices:
-                    raise ValueError(f"config {known.config}: {a.dest}={value!r} is not "
+                if a.choices is not None and any(v not in a.choices for v in value):
+                    raise ValueError(f"config {known.config}: {a.dest}={text!r} is not "
                                      f"one of {', '.join(a.choices)}")
-                values[a.dest] = value
-        sp.set_defaults(**values)
+                a.default = value if a.nargs else value[0]
+                a.required = False  # the file satisfies a required flag
 
 
 def main(argv=None):

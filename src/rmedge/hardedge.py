@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import TruncationError
 from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
-                      qbessel_kernel)
+                      qbessel_kernel, symmetric_grid)
 from .linop import discretize, fredholm_det, log_det, sym_eigen
 from .specfun import bessel_jv, gauss_legendre, unimodular_gamma_ratio
 
@@ -67,11 +67,11 @@ def hankel_transform(f, nu, cutoff, x_out=None, n=400):
     if edge > 1e-10 * scale:
         raise TruncationError(
             f"test function has not decayed at the cutoff ({edge:.2e} of scale)")
+    fw = fy * y * rule.weights
     if x_out is None:
-        x_out = y
+        return y, symmetric_grid(lambda a, b: _sp.jv(nu, a * b), y) @ fw
     x_out = np.asarray(x_out, dtype=float)
-    kernel = _sp.jv(nu, x_out[:, None] * y[None, :])
-    return x_out, kernel @ (fy * y * rule.weights)
+    return x_out, _sp.jv(nu, x_out[:, None] * y[None, :]) @ fw
 
 
 def _panel_grid(y_lo, y_hi, width):
@@ -208,7 +208,7 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
     rs = math.sqrt(s)
 
     def ev(u, v):
-        return 2.0 * np.sqrt(u * v) * bessel_jv(nu, rs * u * v)
+        return 2.0 * np.sqrt(u * v) * bessel_jv(nu, rs * (u * v))  # symmetric bit for bit
 
     spec_u = KernelSpec("jnu_scaled_u", {"nu": nu, "s": s}, (0.0, math.inf), ev)
     op = discretize(spec_u, (0.0, 1.0), n)

@@ -11,6 +11,7 @@ A(x + y), so that squares can be formed by quadrature, see
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "hankel_symbol_kernel",
     "kernel_eval",
     "kernel_matrix",
+    "symmetric_grid",
     "hankel_square_eval",
     "hankel_square_grid",
 ]
@@ -76,10 +78,9 @@ def _diagonal(spec, x):
 
 
 def _check_domain(spec, *points):
-    lo, hi = spec.domain
-    tol = 1e-12
+    lo, hi = spec.domain[0] - 1e-12, spec.domain[1] + 1e-12
     for v in points:
-        if np.any(v < lo - tol) or np.any(v > hi + tol):
+        if np.any(v < lo) or np.any(v > hi):
             raise ValueError(f"point outside kernel domain {spec.domain}")
 
 
@@ -108,8 +109,8 @@ def kernel_matrix(spec, nodes):
 
     An integrable kernel takes A, B and g once per node and forms the quotient
     from outer products, with the diagonal rule on the diagonal and at the
-    midpoint of any other pair closer than 1e-6.  A Hankel-symbol kernel
-    A(x + y) is evaluated once per unordered pair of nodes and mirrored.
+    midpoint of any other pair closer than 1e-6.  A Hankel symbol A(x + y) or
+    an evaluator K(x, y) is evaluated once per unordered pair of nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
     if spec.ab is not None:
@@ -125,12 +126,23 @@ def kernel_matrix(spec, nodes):
         np.fill_diagonal(K, spec.diag(nodes, a, b))
         return K
     if spec.symbol is None:
-        X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-        return np.asarray(kernel_eval(spec, X, Y))
+        return symmetric_grid(lambda x, y: kernel_eval(spec, x, y), nodes)
     _check_domain(spec, nodes)
-    i, j = np.triu_indices(nodes.size)
+    return symmetric_grid(lambda x, y: spec.symbol(x + y), nodes)
+
+
+@lru_cache(maxsize=8)
+def _upper_triangle(n):
+    i, j = np.triu_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def symmetric_grid(f, nodes):
+    """f(x_i, x_j) for a symmetric vectorized f, once per unordered pair, mirrored."""
+    i, j = _upper_triangle(nodes.size)
     K = np.empty((nodes.size, nodes.size))
-    K[i, j] = K[j, i] = spec.symbol(nodes[i] + nodes[j])
+    K[i, j] = K[j, i] = f(nodes[i], nodes[j])
     return K
 
 

@@ -153,8 +153,8 @@ def gap_probs(op, kmax):
     worst = lam.max(initial=-np.inf)
     if worst >= 1.0 - 1e-8:
         raise NearSingularError(
-            f"eigenvalue {worst:.12g} of {op.kernel_tag} is too close to 1; "
-            "gap probabilities diverge")
+            f"eigenvalue {worst:.12g} of {op.kernel_tag} is >= 1 - 1e-8, where gap "
+            "probabilities diverge; an under-resolved interval needs a larger n (--n)")
     d = float(np.prod(1.0 - lam))
     mu = lam / (1.0 - lam)
     e = np.zeros(kmax + 1)

@@ -76,8 +76,7 @@ def _legendre_reference(n):
     _, dp = legendre(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # every caller shares these arrays
-    x.flags.writeable = False
-    w.flags.writeable = False
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

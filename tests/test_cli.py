@@ -324,6 +324,31 @@ class TestConfigKeys:
         assert str(cfg) in err and "n='abc'" in err
         assert not (tmp_path / "hill.csv").exists()
 
+    def test_required_flags_from_config_write_what_the_flags_write(self, tmp_path):
+        # kernel and interval are required flags; a config key satisfies them and
+        # the two values of interval are whitespace-separated
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel=sine\ninterval=0 1\n")
+        flags = ("det", "--kernel", "sine", "--interval", "0", "1", "--n", "16")
+        assert run(tmp_path, *flags, "--out", "flags.json") == 0
+        assert run(tmp_path, "--config", str(cfg), "det", "--n", "16",
+                   "--out", "config.json") == 0
+        assert (tmp_path / "config.json").read_text() == \
+            (tmp_path / "flags.json").read_text()
+        manifests = [json.loads((tmp_path / f"{name}.json.manifest.json").read_text())
+                     for name in ("flags", "config")]
+        for m in manifests:
+            del m["wall_time_s"], m["outputs"], m["parameters"]["out"]
+        assert manifests[0] == manifests[1]
+
+    def test_config_value_count_is_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("interval=0\n")
+        code = run(tmp_path, "--config", str(cfg), "det", "--kernel", "sine", "--n", "16")
+        assert code == 1
+        assert "interval='0' needs 2 values" in capsys.readouterr().err
+        assert not (tmp_path / "det.json").exists()
+
     def test_sample_ensemble_from_config_is_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("ensemble=goe\n")

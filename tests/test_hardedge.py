@@ -1,15 +1,19 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.interpolate import CubicSpline
 
+from rmedge import hardedge
 from rmedge.errors import TruncationError
 from rmedge.hardedge import (HardEdgeConfig, apply_g, bessel_det_identity,
                              g_involution_check, hankel_transform,
                              phi_eigen_correspondence, q_projection_defect,
                              u_nu_eval)
+from rmedge.kernels import symmetric_grid
 from rmedge.specfun import bessel_j, gauss_legendre
 
 
@@ -45,6 +49,28 @@ class TestHankelTransform:
     def test_insufficient_decay_raises(self):
         with pytest.raises(TruncationError):
             hankel_transform(lambda y: np.exp(-0.01 * y), 0.5, 10.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_default_grid_evaluates_each_pair_once(self, monkeypatch, nu):
+        # J_nu(y_i y_j) once per unordered pair, the same bits as the full product
+        points = []
+
+        def jv(order, x):
+            points.append(np.size(x))
+            return special.jv(order, x)
+
+        def f(y):
+            return y ** nu * np.exp(-y * y)
+
+        n, cutoff = 120, 12.0
+        y = gauss_legendre(n, 0.0, cutoff).nodes
+        _, rect = hankel_transform(f, nu, cutoff, x_out=y, n=n)
+        monkeypatch.setattr(hardedge, "_sp", SimpleNamespace(jv=jv))
+        x, v = hankel_transform(f, nu, cutoff, n=n)
+        assert points == [n * (n + 1) // 2]
+        assert np.array_equal(x, y) and np.array_equal(v, rect)
+        grid = symmetric_grid(lambda a, b: special.jv(nu, a * b), y)
+        assert np.array_equal(grid, special.jv(nu, y[:, None] * y[None, :]))
 
 
 class TestGInvolution:

@@ -100,6 +100,9 @@ _MATRIX_SPECS = [
     (bessel_hard_kernel(2.0), 0.0, 5.0),
     (qbessel_kernel(0.5, ell=0.3), 0.0, 18.0),
     (_hard_edge_u_spec(2.0), 0.0, 0.7),
+    (sine_circle_kernel(3), -1.0, 2.0),
+    (KernelSpec("evaluator_only", {}, (-math.inf, math.inf),
+                lambda x, y: np.exp(-(x - y) ** 2) * np.cos(x * y)), -1.0, 3.0),
 ]
 
 
@@ -130,6 +133,40 @@ def test_airy_kernel_matrix_is_pinned():
     want = np.empty((_AIRY_NODES.size,) * 2)
     want[i, j] = want[j, i] = [float.fromhex(v) for v in _AIRY_PINNED]
     assert np.array_equal(kernel_matrix(airy_kernel(), _AIRY_NODES), want)
+
+
+# Upper triangle of the sine kernel matrix (t = 1) on these nodes, bit for bit,
+# as the elementwise assembly from meshgrids gave it; the pair 0.2, 0.2 + 3e-7
+# takes the diagonal value.
+_SINE_NODES = np.array([-1.3, 0.2, 0.2 + 3e-7, 0.9, 4.75])
+_SINE_PINNED = [
+    '0x1.0000000000000p+0', '-0x1.b2995e7b7b604p-3', '-0x1.b29958c934d6dp-3',
+    '0x1.5c5799dc8dbf7p-4', '0x1.0db297d5e46f4p-7', '0x1.0000000000000p+0',
+    '0x1.0000000000000p+0', '0x1.78b652eca3a0ap-2', '0x1.1b055de352c97p-4',
+    '0x1.0000000000000p+0', '0x1.78b66e6908e1ep-2', '0x1.1b0561e1319acp-4',
+    '0x1.0000000000000p+0', '-0x1.337c8dbb3cf76p-5', '0x1.0000000000000p+0',
+]
+
+
+def test_sine_kernel_matrix_is_pinned():
+    i, j = np.triu_indices(_SINE_NODES.size)
+    want = np.empty((_SINE_NODES.size,) * 2)
+    want[i, j] = want[j, i] = [float.fromhex(v) for v in _SINE_PINNED]
+    assert np.array_equal(kernel_matrix(sine_kernel(1.0), _SINE_NODES), want)
+
+
+def test_evaluator_only_matrix_evaluates_each_pair_once():
+    # the evaluator serves the diagonal too, as the spec carries no diag rule
+    points = []
+
+    def ev(x, y):
+        points.append(np.size(x))
+        return np.exp(-(x - y) ** 2)
+
+    n = 50
+    spec = KernelSpec("counted", {}, (-math.inf, math.inf), ev)
+    kernel_matrix(spec, gauss_legendre(n, 0.0, 3.0).nodes)
+    assert sum(points) == n * (n + 1) // 2
 
 
 def test_airy_discretize_evaluates_each_node_once(monkeypatch):

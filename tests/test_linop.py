@@ -233,6 +233,14 @@ class TestGapProbs:
             gap_probs(op, 2)
         assert "0.999999999" in str(err.value)
 
+    def test_eigenvalue_above_one_names_the_bound(self):
+        # an under-resolved interval: the top eigenvalue is 1.46, not near 1
+        op = discretize(sine_kernel(1.5), (0.0, 6.0), 12)
+        with pytest.raises(NearSingularError) as err:
+            gap_probs(op, 2)
+        assert "1.46" in str(err.value) and ">= 1 - 1e-8" in str(err.value)
+        assert "--n" in str(err.value)
+
 
 def test_spectral_equality_of_compressed_products():
     # spec(P G G P) = spec(G P G) for the Hankel matrix G and a cut projection
