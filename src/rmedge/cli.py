@@ -43,12 +43,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _parse_hi(text):
-    if text in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 # --kernel name -> spec from the parsed flags
 _KERNELS = {
     "sine": lambda a: kernels.sine_kernel(a.t),
@@ -62,7 +56,7 @@ _KERNELS = {
 
 def _operator(args):
     spec = _KERNELS[args.kernel](args)
-    return linop.discretize(spec, (args.interval[0], _parse_hi(args.interval[1])), args.n)
+    return linop.discretize(spec, tuple(map(float, args.interval)), args.n)  # HI may be "inf"
 
 
 # Each body computes, writes its payload to ``out`` and returns the line to
@@ -99,6 +93,8 @@ def _tw_cache_path(args):
 
 
 def _cmd_tw(args, out):
+    if not 0.0 < args.step < math.inf:
+        raise ValueError(f"--step must be positive and finite, got {args.step}")
     cache = _tw_cache_path(args)
     if cache and os.path.exists(cache):
         shutil.copyfile(cache, out)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+
+from ._deferred import eigvalsh_tridiagonal
 
 __all__ = [
     "EnsembleSample",

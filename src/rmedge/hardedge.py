@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
-from scipy.interpolate import CubicSpline
 
 from .errors import TruncationError
 from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
                       qbessel_kernel, symmetric_grid)
-from .linop import discretize, fredholm_det, log_det, sym_eigen
+from .linop import checked_log_det, discretize, fredholm_det, sym_eigen
 from .specfun import bessel_jv, gauss_legendre, unimodular_gamma_ratio
 
 __all__ = [
@@ -133,6 +132,7 @@ def g_involution_check(nu, ell, test_functions, grid=None):
     must be concentrated like Gaussian bumps; eigenfunction-like inputs whose
     image is distributional are outside the admissible class.
     """
+    from scipy.interpolate import CubicSpline
     if grid is None:
         grid = np.linspace(-2.0, 5.0, 36)
     grid = np.asarray(grid, dtype=float)
@@ -187,8 +187,8 @@ def bessel_det_identity(cfg, z, n=80):
     lhs = fredholm_det(discretize(_hard_edge_u_spec(cfg.nu),
                                   (0.0, math.sqrt(cfg.a)), n), z)
     sym = bessel_log_symbol_kernel(cfg.nu, ell=cfg.alpha)
-    gam = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120))).eigenvalues
-    sign, logabs = log_det(gam * gam, z)
+    hankel = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120)))
+    sign, logabs = checked_log_det(hankel, z, squared=True)
     rhs = sign * math.exp(logabs)
     return lhs, rhs, abs(lhs - rhs)
 

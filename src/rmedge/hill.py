@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
+from ._deferred import solve_ivp
 from .errors import ResolutionError, WrongPeriodError
 from .kernels import KernelSpec
 from .linop import nystrom
@@ -147,6 +146,7 @@ def _modes(alpha, count):
     """The lowest ``count`` eigenvalues of the four blocks, sorted, and per value
     ``(freqs, sine, coeffs)``; for odd frequencies the eigenfunction with norm
     sqrt(pi) is sum_j coeffs[j] trig(freqs[j] x), trig = sin if sine else cos."""
+    from scipy.linalg import eigh_tridiagonal
     # frequencies reach about twice the block size, some 30 beyond the highest
     # one a wanted mode needs, sqrt(lambda + |alpha|) <= count / 2 + sqrt(2 |alpha|)
     size = count // 4 + int(math.sqrt(abs(alpha) / 2.0)) + 16

@@ -27,6 +27,7 @@ __all__ = [
     "operator_square",
     "sym_eigen",
     "log_det",
+    "checked_log_det",
     "fredholm_det",
     "gap_probs",
 ]
@@ -126,18 +127,25 @@ def log_det(eigenvalues, z):
     return float(np.prod(np.sign(1.0 + x))), float(np.sum(terms))
 
 
-def fredholm_det(op, z):
-    """det(I - z K) from the discretized spectrum, through :func:`log_det`.
-
-    Eigenvalues are known to about n eps max|lam| (Weyl), so a factor with
-    |1 - z lam| <= n eps |z| max|lam| has no sign: NearSingularError.
-    """
-    lam = sym_eigen(op).eigenvalues
+def checked_log_det(spectrum, z, squared=False):
+    """:func:`log_det` of det(I - z K), or of det(I - z K^2) if ``squared``, from a
+    computed spectrum of K.  Its eigenvalues are known to about n eps max|lam| (Weyl),
+    so a factor with |1 - z lam| <= n eps |z| max|lam| has no sign: NearSingularError."""
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got z = {z}")
+    lam, tag = spectrum.eigenvalues, spectrum.kernel_tag
+    if squared:
+        lam, tag = lam * lam, f"({tag})^2"
     closest = float(np.min(np.abs(1.0 - z * lam)))
     if closest <= lam.size * np.finfo(float).eps * abs(z) * np.max(np.abs(lam)):
-        raise NearSingularError(f"min |1 - z lam| = {closest:.3g} of {op.kernel_tag} at "
+        raise NearSingularError(f"min |1 - z lam| = {closest:.3g} of {tag} at "
                                 f"z = {z:g} is below the eigenvalue rounding level")
-    sign, logabs = log_det(lam, z)
+    return log_det(lam, z)
+
+
+def fredholm_det(op, z):
+    """det(I - z K) from the discretized spectrum, through :func:`checked_log_det`."""
+    sign, logabs = checked_log_det(sym_eigen(op), z)
     return sign * math.exp(logabs)
 
 

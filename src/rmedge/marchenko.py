@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractionError
 from .kernels import hankel_square_grid, hankel_symbol_kernel, kernel_matrix
-from .linop import discretize, log_det, nystrom, sym_eigen
+from .linop import checked_log_det, discretize, nystrom, sym_eigen
 from .specfun import gauss_legendre
 
 __all__ = [
@@ -111,8 +111,8 @@ def marchenko_diag(spec, kappa, x, n=160):
 
 def log_det_tail(spec, kappa, x, n=160):
     """log det(I - kappa^2 P_(x,inf) W P_(x,inf)) via the Hankel spectrum."""
-    gam = sym_eigen(_shifted_hankel(spec, x, n)).eigenvalues
-    sign, logabs = log_det(gam * gam, kappa * kappa)
+    hankel = sym_eigen(_shifted_hankel(spec, x, n))
+    sign, logabs = checked_log_det(hankel, kappa * kappa, squared=True)
     if sign <= 0:
         raise ContractionError(f"det(I - kappa^2 W) <= 0 at kappa = {kappa:g}")
     return logabs

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
-from .linop import discretize, log_det, sym_eigen
+from .linop import checked_log_det, discretize, sym_eigen
 from .specfun import airy, gauss_legendre
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -150,7 +150,6 @@ def tw_cdf_det(t, xs, n=100):
     F = np.empty_like(xs)
     for i, x in enumerate(xs):
         op = discretize(airy_symbol_kernel(shift=float(x)), (0.0, np.inf), n)
-        gam = sym_eigen(op).eigenvalues
-        sign, logabs = log_det(gam * gam, t)
+        sign, logabs = checked_log_det(sym_eigen(op), t, squared=True)
         F[i] = sign * math.exp(logabs)
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant")

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._deferred import solve_ivp
 from .errors import HypothesisViolationError
 from .kernels import integrable_kernel, kernel_eval
 from .specfun import airy, gauss_legendre

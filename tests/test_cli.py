@@ -286,6 +286,26 @@ class TestRunner:
         assert "kmax must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "sample.csv").exists()
 
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("det", "--kernel", "sine", "--interval", "0", "1"),
+        ("hardedge", "--nu", "0.5", "--a", "0.5"),
+    ], ids=["det", "hardedge"])
+    def test_non_finite_z_writes_nothing(self, tmp_path, capsys, argv, z):
+        # det wrote "determinant": NaN and hardedge "gap = nan", both exiting 0
+        code = run(tmp_path, *argv, "--z", z)
+        assert code == 1
+        assert "error [ValueError]: z must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_tw_refuses_a_step_that_is_not_positive_and_finite(self, tmp_path, capsys, step):
+        # --step 0 ended in an uncaught ZeroDivisionError from np.arange
+        code = run(tmp_path, "tw", "--step", step)
+        assert code == 1
+        assert "error [ValueError]: --step must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigKeys:
     def test_key_matching_no_flag_is_refused(self, tmp_path, capsys):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from rmedge import hardedge, marchenko, painleve
 from rmedge.errors import NearSingularError
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_log_symbol_kernel, kernel_eval, sine_kernel)
-from rmedge.linop import (DiscretizedOp, discretize, fredholm_det, gap_probs, log_det,
-                          nystrom, operator_square, sym_eigen)
+from rmedge.linop import (DiscretizedOp, Spectrum, checked_log_det, discretize,
+                          fredholm_det, gap_probs, log_det, nystrom, operator_square,
+                          sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -160,6 +162,12 @@ class TestFredholmDet:
         op = discretize(sine_kernel(1.0), (0.0, 10.0), 120)
         assert 0.0 < fredholm_det(op, 1.0) < 1e-50
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_z_is_refused(self, z):
+        op = discretize(sine_kernel(1.0), (0.0, 1.0), 16)
+        with pytest.raises(ValueError, match="z must be finite"):
+            fredholm_det(op, z)
+
     def test_against_lu_determinant(self):
         op = discretize(sine_kernel(1.0), (0.0, 1.0), 32)
         for z in (0.5, 1.0, 1.7):
@@ -176,6 +184,41 @@ class TestFredholmDet:
         d1 = fredholm_det(discretize(spec, interval, 40), 1.0)
         d2 = fredholm_det(discretize(spec, interval, 80), 1.0)
         assert abs(d1 - d2) < 1e-8
+
+
+class TestCheckedLogDet:
+    def test_matches_log_det_above_the_rounding_level(self):
+        lam = np.array([0.9, 0.5, -0.25, 1e-12])
+        spectrum = Spectrum(eigenvalues=lam, rule_size=4, kernel_tag="toy")
+        for z in (0.5, 1.0, -2.0):
+            assert checked_log_det(spectrum, z) == log_det(lam, z)
+            assert checked_log_det(spectrum, z, squared=True) == log_det(lam * lam, z)
+
+    def test_zero_factor_raises_where_log_det_gives_minus_infinity(self):
+        assert log_det([1.0, 0.5], 1.0) == (0.0, -math.inf)
+        spectrum = Spectrum(eigenvalues=np.array([1.0, 0.5]), rule_size=2, kernel_tag="toy")
+        with pytest.raises(NearSingularError, match="of toy at z = 1"):
+            checked_log_det(spectrum, 1.0)
+        with pytest.raises(NearSingularError, match=r"of \(toy\)\^2 at z = 1"):
+            checked_log_det(spectrum, 1.0, squared=True)
+
+
+def _unit_spectrum(op):
+    # gamma = 1 exactly: det(I - Gamma^2) = 0, whose sign no spectrum resolves
+    return Spectrum(eigenvalues=np.array([1.0, 0.5]), rule_size=2, kernel_tag=op.kernel_tag)
+
+
+@pytest.mark.parametrize("module,call", [
+    (painleve, lambda: painleve.tw_cdf_det(1.0, [0.0], n=20)),
+    (hardedge, lambda: hardedge.bessel_det_identity(hardedge.HardEdgeConfig(0.5, 0.5), 1.0,
+                                                    n=20)),
+    (marchenko, lambda: marchenko.log_det_tail(airy_symbol_kernel(), 1.0, 0.5, n=20)),
+], ids=["tw_cdf_det", "bessel_det_identity", "log_det_tail"])
+def test_hankel_square_determinants_refuse_a_factor_at_zero(monkeypatch, module, call):
+    # unguarded, log_det gives (0, -inf) here and each caller returns F = 0
+    monkeypatch.setattr(module, "sym_eigen", _unit_spectrum)
+    with pytest.raises(NearSingularError, match=r"\)\^2 at z = 1 "):
+        call()
 
 
 class TestGapProbs:

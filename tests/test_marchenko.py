@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmedge.errors import ContractionError
+from rmedge.errors import ContractionError, NearSingularError
 from rmedge.kernels import (airy_symbol_kernel, hankel_square_grid,
                             hankel_symbol_kernel)
 from rmedge.marchenko import (diag_from_expansion, hs_expansion, log_det_tail,
@@ -115,6 +115,14 @@ def test_contraction_violation_detected():
     # kappa^2 int u A^2 du = 0.64 * 9/4 = 1.44 >= 1
     with pytest.raises(ContractionError):
         solve_marchenko(exp_symbol(scale=3.0), 0.8, 0.5)
+
+
+def test_log_det_tail_refuses_a_factor_below_the_rounding_level():
+    # 1 - gamma^2 = 2.29e-14 is below n eps max gamma^2 = 3.55e-14 (n = 160):
+    # this returned -31.409 against the exact log(1 - (1 - e^-32)^2) = -31.307
+    spec = hankel_symbol_kernel(lambda s: 2.0 * np.exp(-s), 16.0)
+    with pytest.raises(NearSingularError, match="rounding level"):
+        log_det_tail(spec, 1.0, 0.0)
 
 
 def test_determinant_is_polynomial_in_coupling_squared():
