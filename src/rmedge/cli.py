@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import time
@@ -23,6 +24,9 @@ from . import __version__, ensembles, hardedge, hill, kernels, linop, painleve
 from .errors import RmedgeError
 
 _CACHE_ENV = "RMEDGE_CACHE_DIR"
+
+# argparse takes "-1e-1" or "-inf" for a flag; any negative float is a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
 
 
 def _fmt(v):
@@ -265,6 +269,8 @@ def _build_parser():
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.set_defaults(func=_cmd_verify)
+    for q in (p, *sub.choices.values()):
+        q._negative_number_matcher = _NEGATIVE_NUMBER
     return p, list(sub.choices.values())
 
 

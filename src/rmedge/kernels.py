@@ -22,6 +22,7 @@ from .specfun import airy, bessel_jv, gauss_legendre
 __all__ = [
     "KernelSpec",
     "integrable_kernel",
+    "system_kernel",
     "bessel_integrable_kernel",
     "sine_kernel",
     "airy_kernel",
@@ -166,6 +167,16 @@ def integrable_kernel(family, params, domain, ab, denom, diag, tail_length=None)
                       ab=ab, denom=denom)
 
 
+def system_kernel(sys, ab):
+    """(A(x)B(y) - B(x)A(y)) / (x - y) for (A, B)' = [[al, be], [-ga, -al]] (A, B) with
+    (al, be, ga) = sys.coeff(x); its diagonal is ga A^2 + 2 al A B + be B^2."""
+    def diag(x, a, b):
+        al, be, ga = sys.coeff(x)
+        return ga * a * a + 2.0 * al * a * b + be * b * b
+
+    return integrable_kernel("ode_system", {}, (-math.inf, math.inf), ab, lambda x: x, diag)
+
+
 def bessel_integrable_kernel(family, params, domain, nu, arg, weight, c,
                              tail_length=None):
     """Integrable Bessel kernel of order nu > -1/2 in the variable s = arg(x) > 0.
@@ -205,7 +216,7 @@ def sine_kernel(t):
         return np.sin(t * np.pi * d) / (np.pi * d)
 
     return KernelSpec("sine", {"t": t}, (-math.inf, math.inf), ev,
-                      diag=lambda x: np.full(np.shape(x), t) if np.shape(x) else t)
+                      diag=lambda x: np.full(np.shape(x), t))
 
 
 def airy_kernel():
@@ -228,13 +239,15 @@ def bessel_hard_kernel(nu):
 
 
 def airy_symbol_kernel(shift=0.0):
-    """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator."""
+    """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator,
+    cut where its argument reaches 8 (Ai(8) = 4.7e-8) and not before 14."""
     shift = float(shift)
 
     def sym(s):
         return airy(shift + np.asarray(s, dtype=float))[0]
 
-    return hankel_symbol_kernel(sym, 14.0, "airy_symbol", {"shift": shift})
+    return hankel_symbol_kernel(sym, max(14.0, 8.0 - shift), "airy_symbol",
+                                {"shift": shift})
 
 
 def bessel_log_symbol_kernel(nu, ell=0.0):
@@ -287,8 +300,7 @@ def sine_circle_kernel(n):
         return n * u
 
     return KernelSpec("sine_circle", {"n": n}, (-math.inf, math.inf), ev,
-                      diag=lambda x: np.full(np.shape(x), float(n * n))
-                      if np.shape(x) else float(n * n))
+                      diag=lambda x: np.full(np.shape(x), float(n * n)))
 
 
 def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=None,
@@ -297,9 +309,8 @@ def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=Non
     def ev(x, y):
         return symbol(np.asarray(x, dtype=float) + np.asarray(y, dtype=float))
 
-    return KernelSpec(family, params or {}, domain, ev,
-                      diag=lambda x: symbol(2.0 * np.asarray(x, dtype=float)),
-                      symbol=symbol, tail_length=float(tail_length))
+    return KernelSpec(family, params or {}, domain, ev, symbol=symbol,
+                      tail_length=float(tail_length))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +332,18 @@ def hankel_square_eval(spec, x, y, L=None):
 
 
 def hankel_square_grid(spec, xs, ys, L=None):
-    """Matrix of Hankel-square values on a grid, one quadrature for all pairs."""
+    """Matrix of Hankel-square values on a grid, one quadrature for all pairs;
+    the symbol is evaluated once when ``ys is xs``."""
     if spec.symbol is None:
         raise ValueError(f"kernel family {spec.family!r} carries no Hankel symbol")
     L = float(L if L is not None else spec.tail_length)
+    symmetric = ys is xs
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     _check_tail(spec, xs, ys, L)
     rule = gauss_legendre(200, 0.0, L)
     u = rule.nodes
     left = spec.symbol(xs[:, None] + u[None, :])
-    right = spec.symbol(u[:, None] + ys[None, :])
+    # a contiguous copy keeps the product bit for bit that of a fresh evaluation
+    right = left.T.copy() if symmetric else spec.symbol(u[:, None] + ys[None, :])
     return left @ (rule.weights[:, None] * right)

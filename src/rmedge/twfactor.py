@@ -11,6 +11,7 @@ int_0^inf (F(x+t)F(t+y) + G(x+t)G(t+y)) dt where F, G are rotations of
 collapses G to zero, giving the square of a single Hankel operator.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._deferred import solve_ivp
 from .errors import HypothesisViolationError
-from .kernels import integrable_kernel, kernel_eval
+from .kernels import kernel_eval, kernel_matrix, system_kernel
 from .specfun import airy, gauss_legendre
 
 __all__ = [
@@ -67,28 +68,32 @@ class FactorPair:
     theta: float
     lambda1: float
     lambda2: float
-    F: Callable = field(repr=False)
-    G: Callable = field(repr=False)
+    ab: Callable = field(repr=False)
+
+    def symbols(self, x):
+        """(F(x), G(x)) from one evaluation of (A, B)."""
+        A, B = self.ab(x)
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return self.lambda1 * (A * c + B * s), self.lambda2 * (-A * s + B * c)
+
+    def F(self, x):
+        return self.symbols(x)[0]
+
+    def G(self, x):
+        return self.symbols(x)[1]
 
 
 def airy_system():
     """A'' = x A with the decaying solution: A = Ai, B = Ai'."""
-    def cf(x):
-        return airy(x)
-
     a0, ap0 = airy(0.0)
     return OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(0.0, -1.0),
-                     A0=a0, B0=ap0, x0=0.0, closed_form=cf)
+                     A0=a0, B0=ap0, x0=0.0, closed_form=airy)
 
 
 def sine_system():
     """A = sin, B = cos: satisfies the ODE shape but is not integrable."""
-    def cf(x):
-        x = np.asarray(x, dtype=float)
-        return np.sin(x), np.cos(x)
-
-    return OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(1.0, 0.0),
-                     A0=0.0, B0=1.0, x0=0.0, closed_form=cf)
+    return OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(1.0, 0.0), A0=0.0, B0=1.0,
+                     x0=0.0, closed_form=lambda x: (np.sin(x), np.cos(x)))
 
 
 def scaled_airy_system(c=4.0 ** (1.0 / 3.0), closed_form=False):
@@ -100,14 +105,12 @@ def scaled_airy_system(c=4.0 ** (1.0 / 3.0), closed_form=False):
     c = float(c)
     a0, ap0 = airy(0.0)
 
-    cf = None
-    if closed_form:
-        def cf(x):
-            a, ap = airy(c * np.asarray(x, dtype=float))
-            return a, c * ap
+    def cf(x):
+        a, ap = airy(c * np.asarray(x, dtype=float))
+        return a, c * ap
 
     return OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(0.0, -c ** 3),
-                     A0=a0, B0=c * ap0, x0=0.0, closed_form=cf)
+                     A0=a0, B0=c * ap0, x0=0.0, closed_form=cf if closed_form else None)
 
 
 def build_c_matrix(sys):
@@ -120,64 +123,44 @@ def _solution(sys, x_hi):
     """(A, B) on [x0, x_hi] as a callable, which refuses points outside it.
 
     The trace-free shape forces an exponential dichotomy, so integrating the
-    decaying solution forward is unstable.  Instead the decaying direction is
-    extracted by renormalized backward integration from beyond x_hi, and the
-    result is scaled to the initial data; if (A0, B0) does not lie on the
-    decaying direction the hypothesis of the factorization fails.
+    decaying solution forward is unstable.  Instead one backward integration
+    from beyond x_hi of u' = Mu - (u^T M u) u, rho' = u^T M u carries the unit
+    direction u of (A, B) and rho = log|(A, B)|, and the result is scaled to
+    the initial data; if (A0, B0) is off the decaying direction, the
+    hypothesis of the factorization fails.
     """
     if sys.closed_form is not None:
         return sys.closed_form
 
     def rhs(x, y):
         al, be, ga = sys.coeff(x)
-        return [al * y[0] + be * y[1], -ga * y[0] - al * y[1]]
+        mu = (al * y[0] + be * y[1], -ga * y[0] - al * y[1])
+        q = y[0] * mu[0] + y[1] * mu[1]
+        return [mu[0] - q * y[0], mu[1] - q * y[1], q]
 
     x_far = x_hi + 8.0  # buffer for the backward transient to die out
-    bounds = np.arange(x_far, sys.x0, -2.0)
-    bounds = np.append(bounds, sys.x0)
-    chunks = []
-    y = np.array([1.0, 0.0])
-    log_scale = 0.0
-    for top, bottom in zip(bounds[:-1], bounds[1:]):
-        sol = solve_ivp(rhs, (top, bottom), y, method="DOP853",
-                        rtol=1e-10, atol=1e-14, dense_output=True)
-        if not sol.success:
-            raise HypothesisViolationError(
-                f"integration of the system failed: {sol.message}")
-        chunks.append((bottom, top, sol.sol, log_scale))
-        y = sol.y[:, -1]
-        nrm = float(np.hypot(*y))
-        log_scale += math.log(nrm)
-        y = y / nrm
-
-    # y is the unit decaying direction at x0; match it to the initial data
-    v0 = np.array([sys.A0, sys.B0])
-    n0 = float(np.hypot(*v0))
-    if n0 == 0.0:
-        proj, cross = 0.0, 0.0
-    else:
-        proj = float(v0 @ y)
-        cross = abs(sys.A0 * y[1] - sys.B0 * y[0]) / n0
-    if n0 > 0.0 and cross > 1e-6:
+    sol = solve_ivp(rhs, (x_far, sys.x0), [1.0, 0.0, 0.0], method="DOP853",
+                    rtol=1e-10, atol=1e-14, dense_output=True)
+    if not sol.success:
+        raise HypothesisViolationError(
+            f"integration of the system failed: {sol.message}")
+    # u is the unit decaying direction at x0; match it to the initial data
+    u, rho0 = sol.y[:2, -1], sol.y[2, -1]
+    n0 = float(np.hypot(sys.A0, sys.B0))
+    if n0 > 0.0 and abs(sys.A0 * u[1] - sys.B0 * u[0]) / n0 > 1e-6:
         raise HypothesisViolationError(
             "initial data is not on the decaying direction; A, B would grow")
-    # global scale so that the chunk at x0 reproduces (A0, B0)
-    ref_log = log_scale
-    sign = 1.0 if proj >= 0 else -1.0
-    amp = abs(proj)
+    proj = sys.A0 * u[0] + sys.B0 * u[1]
 
     def cf(x):
         x = np.asarray(x, dtype=float)
         if np.any(x < sys.x0 - 1e-12) or np.any(x > x_hi + 1e-12):
             raise ValueError(
                 f"point outside the integrated range [{sys.x0:g}, {x_hi:g}]")
-        flat = np.atleast_1d(x)
-        out = np.empty((2,) + flat.shape)
-        for bottom, top, dense, ls in chunks:
-            mask = (flat >= bottom - 1e-12) & (flat <= top + 1e-12)
-            if np.any(mask):
-                out[:, mask] = dense(flat[mask]) * (sign * amp * math.exp(ls - ref_log))
-        return (out[0], out[1]) if x.shape else (float(out[0, 0]), float(out[1, 0]))
+        # (A, B) decays from x0, so e^{rho - rho0} cannot overflow
+        u1, u2, rho = sol.sol(x.ravel()).reshape((3,) + x.shape)
+        scale = proj * np.exp(rho - rho0)
+        return u1 * scale, u2 * scale
 
     return cf
 
@@ -186,7 +169,7 @@ def factorize(sys, ab=None):
     """Square root of -C, rotation angle, and the Hankel symbols F, G.
 
     F and G are read from ``ab``, a callable x -> (A(x), B(x)); without one,
-    the closed form or else a solution on [x0, x0 + 80] is used.
+    the closed form or else a solution on [x0, x0 + 80], solved at first use.
     """
     C = build_c_matrix(sys)
     vals, vecs = np.linalg.eigh(-C)
@@ -203,35 +186,16 @@ def factorize(sys, ab=None):
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     X = rot @ np.diag([lam1, lam2]) @ rot.T
-
-    holder = {"ab": ab or sys.closed_form}
-
-    def solution(x):
-        if holder["ab"] is None:
-            holder["ab"] = _solution(sys, sys.x0 + 80.0)
-        return holder["ab"](x)
-
-    def F(x):
-        A, B = solution(x)
-        return lam1 * (A * math.cos(theta) + B * math.sin(theta))
-
-    def G(x):
-        A, B = solution(x)
-        return lam2 * (-A * math.sin(theta) + B * math.cos(theta))
-
-    return FactorPair(C=C, X=X, theta=theta, lambda1=lam1, lambda2=lam2, F=F, G=G)
+    if ab is None:
+        solved = functools.cache(lambda: _solution(sys, sys.x0 + 80.0))
+        ab = lambda x: solved()(x)
+    return FactorPair(C=C, X=X, theta=theta, lambda1=lam1, lambda2=lam2, ab=ab)
 
 
 def tw_kernel_values(sys, x, y, ab=None):
     """(A(x)B(y) - A(y)B(x)) / (x - y); ODE closed form on the diagonal."""
-    ab = ab or _solution(sys, float(np.max([np.max(x), np.max(y)])) + 1.0)
-
-    def diag(x, a, b):  # (A'B - B'A)(x)
-        al, be, ga = sys.coeff(x)
-        return ga * a * a + 2.0 * al * a * b + be * b * b
-
-    spec = integrable_kernel("ode_system", {}, (-math.inf, math.inf), ab, lambda x: x, diag)
-    return kernel_eval(spec, x, y)
+    ab = ab or _solution(sys, max(np.max(x), np.max(y)) + 1.0)
+    return kernel_eval(system_kernel(sys, ab), x, y)
 
 
 def verify_factorization(sys, interval, n):
@@ -246,7 +210,7 @@ def verify_factorization(sys, interval, n):
     xs = np.linspace(lo, hi, n)
     L = 10.0
     while True:
-        ab = sys.closed_form or _solution(sys, hi + L)
+        ab = _solution(sys, hi + L)
         tail = float(np.sum(np.abs(ab(hi + L))))
         if tail <= 1e-13 or L >= 80.0:
             break
@@ -258,11 +222,9 @@ def verify_factorization(sys, interval, n):
             "continuous and integrable A, B")
 
     rule = gauss_legendre(240, 0.0, L)
-    t = rule.nodes
-    FX = pair.F(xs[:, None] + t[None, :])
-    GX = pair.G(xs[:, None] + t[None, :])
+    FX, GX = pair.symbols(xs[:, None] + rule.nodes[None, :])
     rhs = (FX * rule.weights) @ FX.T + (GX * rule.weights) @ GX.T
-    lhs = tw_kernel_values(sys, xs[:, None], xs[None, :], ab=ab)
+    lhs = kernel_matrix(system_kernel(sys, ab), xs)
     return float(np.abs(lhs - rhs).max())
 
 

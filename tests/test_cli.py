@@ -1,9 +1,11 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
+from rmedge import acceptance
 from rmedge.cli import main
 
 
@@ -222,6 +224,57 @@ class TestConfigAndErrors:
         assert code == 1
         assert "error [NearSingularError]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_tw_table_past_rounding_level_exits_one(self, tmp_path, capsys):
+        code = run(tmp_path, "tw", "--xmin", "-12", "--xmax", "-10", "--step", "1")
+        assert code == 1
+        assert "error [NearSingularError]" in capsys.readouterr().err
+
+
+class TestNegativeValues:
+    # argparse alone reads "-1e-1" and "-inf" as flags and exits 2
+    def test_exponent_form_value(self, tmp_path):
+        argv = ("det", "--kernel", "airy-symbol", "--interval", "0", "inf", "--n", "40")
+        assert run(tmp_path, *argv, "--shift", "-1e-1", "--out", "spaced.json") == 0
+        assert run(tmp_path, *argv, "--shift=-1e-1", "--out", "joined.json") == 0
+        assert (tmp_path / "spaced.json").read_text() \
+            == (tmp_path / "joined.json").read_text()
+
+    def test_tw_from_exponent_form_xmin(self, tmp_path):
+        code = run(tmp_path, "tw", "--t", "0.5", "--xmin", "-1e1", "--xmax", "-9",
+                   "--step", "1", "--n", "60")
+        assert code == 0
+        rows = (tmp_path / "tw.csv").read_text().strip().splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [-10.0, -9.0]
+
+    def test_negative_infinite_z_is_refused_by_the_determinant(self, tmp_path, capsys):
+        code = run(tmp_path, "det", "--kernel", "sine", "--interval", "0", "1",
+                   "--n", "16", "--z", "-inf")
+        assert code == 1
+        assert "error [ValueError]: z must be finite" in capsys.readouterr().err
+
+
+class TestVerify:
+    def test_all_passing_exits_zero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            [(1, "stub", lambda: (True, "fine"), 60.0)])
+        assert run(tmp_path, "verify") == 0
+        assert "1/1 acceptance criteria passed" in capsys.readouterr().out
+
+    def test_criterion_over_its_budget_fails(self, tmp_path, monkeypatch, capsys):
+        def slow():
+            time.sleep(0.01)
+            return True, "fine"
+
+        monkeypatch.setattr(acceptance, "CRITERIA",
+                            [(1, "stub", lambda: (True, "fine"), None),
+                             (2, "slow", slow, 0.001)])
+        results = acceptance.run_all(verbose=False)
+        assert [r["passed"] for r in results] == [True, False]
+        assert run(tmp_path, "verify") == 1
+        out = capsys.readouterr().out
+        assert re.search(r"\[FAIL\]  2 slow .*\n.*exceeded time budget", out)
+        assert "1/2 acceptance criteria passed" in out
 
 
 # one small run per file-writing subcommand, with its default output file

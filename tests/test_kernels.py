@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -271,6 +272,31 @@ class TestHankelSquares:
         H = hankel_square_grid(spec, xs, xs)
         vals = np.linalg.eigvalsh(0.5 * (H + H.T))
         assert vals.min() > -1e-9 * max(1.0, vals.max())
+
+    @pytest.mark.parametrize("spec", [airy_symbol_kernel(),
+                                      airy_symbol_kernel(shift=-1.5),
+                                      bessel_log_symbol_kernel(0.5)],
+                             ids=lambda s: s.tag)
+    def test_symmetric_grid_evaluates_the_symbol_once(self, spec):
+        # ys is xs: the quadrature reads 200 n symbol values, not 400 n, and
+        # the square is bit for bit that of two evaluations
+        quadrature_points = []
+
+        def counted(s):
+            if np.ndim(s) == 2:
+                quadrature_points.append(np.size(s))
+            return spec.symbol(s)
+
+        xs = np.linspace(0.0, 3.0, 17)
+        got = hankel_square_grid(dataclasses.replace(spec, symbol=counted), xs, xs)
+        assert sum(quadrature_points) == 200 * xs.size
+        assert np.array_equal(got, hankel_square_grid(spec, xs, xs.copy()))
+
+
+@pytest.mark.parametrize("shift,length", [(0.0, 14.0), (-6.0, 14.0), (-10.0, 18.0),
+                                          (-14.0, 22.0)])
+def test_airy_symbol_truncation_follows_the_shift(shift, length):
+    assert airy_symbol_kernel(shift=shift).tail_length == length
 
 
 def test_soft_edge_determinant_identity_small():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rmedge import hardedge, marchenko, painleve
-from rmedge.errors import NearSingularError
+from rmedge.errors import NearSingularError, TruncationError
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
-                            bessel_log_symbol_kernel, kernel_eval, sine_kernel)
+                            bessel_log_symbol_kernel, hankel_symbol_kernel,
+                            kernel_eval, sine_kernel)
 from rmedge.linop import (DiscretizedOp, Spectrum, checked_log_det, discretize,
                           fredholm_det, gap_probs, log_det, nystrom, operator_square,
                           sym_eigen)
@@ -51,6 +52,12 @@ class TestDiscretize:
     def test_semi_infinite_truncation(self):
         op = discretize(airy_kernel(), (0.0, math.inf), 30)
         assert op.rule.interval == (0.0, 14.0)
+
+    def test_slowly_decaying_tail_refused(self):
+        # the trace beyond 5 of e^{-0.1 (x + y)} is 5 (e^{-1} - e^{-2.2}) = 1.29
+        spec = hankel_symbol_kernel(lambda s: np.exp(-0.1 * np.asarray(s)), 5.0)
+        with pytest.raises(TruncationError, match=r"1\.29e\+00"):
+            discretize(spec, (0.0, math.inf), 20)
 
 
 class TestSymEigen:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmedge import kernels, painleve, specfun
+from rmedge.errors import NearSingularError
 from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
 from rmedge.specfun import airy, gauss_legendre
 
@@ -83,6 +84,19 @@ class TestTwCdf:
         # before it moved to the log domain
         got = tw_cdf_det(t, np.array([-5.0, -3.0, -1.0, 0.5, 2.0])).F_values
         assert np.all(np.abs(got - want) <= 1e-14 * np.array(want))
+
+    @pytest.mark.parametrize("t", [0.5, 0.999])
+    def test_determinant_route_truncation_follows_the_shift(self, t):
+        # with the Airy symbol cut at a fixed 14 the routes part by 0.053 and
+        # 4.27 in log F at x = -14
+        xs = np.array([-14.0])
+        gap = math.log(tw_cdf_det(t, xs).F_values[0]) - math.log(tw_cdf(t, xs).F_values[0])
+        assert abs(gap) < 1e-4
+
+    def test_determinant_route_refuses_past_rounding_level(self):
+        # at t = 1, x = -12 the factor 1 - lambda^2 closest to 0 is ~1e-15
+        with pytest.raises(NearSingularError):
+            tw_cdf_det(1.0, np.array([-12.0]))
 
     def test_monotone_in_x_and_in_t(self):
         xs = np.round(np.arange(-4.0, 2.01, 0.25), 10)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from rmedge import twfactor
 from rmedge.errors import HypothesisViolationError
+from rmedge.kernels import kernel_matrix, system_kernel
 from rmedge.specfun import airy
 from rmedge.twfactor import (OdeSystem, airy_system, bessel_bracket_residual,
                              build_c_matrix, factorize, scaled_airy_system,
@@ -139,3 +144,60 @@ def test_bessel_bracket_identity(nu, xi, eta):
     # the commutator identity behind the log-variable Bessel system holds
     # entrywise (constant skew part [[0, 2], [-2, 0]])
     assert bessel_bracket_residual(nu, xi, eta) < 1e-10
+
+
+def test_verify_factorization_integrates_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(twfactor, "solve_ivp", counted)
+    assert verify_factorization(scaled_airy_system(), (0.0, 3.0), 10) < 1e-8
+    assert len(calls) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.8, 2.0))
+def test_integrated_solution_matches_closed_form(c):
+    # one backward solve carries log|(A, B)|, so the relative accuracy holds
+    # down to Ai(20) ~ 1e-27
+    ab = twfactor._solution(scaled_airy_system(c), 13.0)
+    x = np.linspace(0.0, 10.0, 201)
+    A, B = ab(x)
+    a, ap = airy(c * x)
+    assert np.max(np.abs(A / a - 1.0)) < 1e-9
+    assert np.max(np.abs(B / (c * ap) - 1.0)) < 1e-9
+
+
+def test_initial_data_off_the_decaying_direction_rejected():
+    # the scaled-Airy coefficients with (A0, B0) = (1, 0): a growing part
+    sys = OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(0.0, -4.0),
+                    A0=1.0, B0=0.0, x0=0.0)
+    with pytest.raises(HypothesisViolationError, match="decaying direction"):
+        twfactor._solution(sys, 13.0)
+
+
+def test_verify_factorization_evaluates_each_point_once():
+    # n nodes for the kernel, 240 n shifted nodes for F and G together, and
+    # the tail probe
+    points = []
+
+    def cf(x):
+        points.append(np.size(x))
+        return airy(x)
+
+    sys = dataclasses.replace(airy_system(), closed_form=cf)
+    n = 10
+    verify_factorization(sys, (0.0, 3.0), n)
+    assert sum(points) == n + 240 * n + 1
+
+
+@pytest.mark.parametrize("sys", [airy_system(), scaled_airy_system()],
+                         ids=["closed_form", "integrated"])
+def test_system_kernel_matrix_equals_meshgrid_values(sys):
+    ab = twfactor._solution(sys, 4.0)
+    xs = np.linspace(0.0, 3.0, 12)
+    want = tw_kernel_values(sys, xs[:, None], xs[None, :], ab=ab)
+    assert np.array_equal(kernel_matrix(system_kernel(sys, ab), xs), want)
