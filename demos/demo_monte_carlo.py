@@ -1,10 +1,10 @@
 """Monte Carlo ensembles against the deterministic predictions
 ===============================================================
 
-Seeded dense GUE samples reproduce the semicircle law in the bulk.  Beyond
-the soft edge, the counts of scaled eigenvalues come from the beta = 2 Hermite
-tridiagonal model, which has the GUE eigenvalue law at O(n^2) random numbers
-per draw and no dense eigensolve; they land on the gap probabilities computed
+Seeded GUE samples from the beta = 2 Hermite tridiagonal model, which has the
+GUE eigenvalue law at O(n^2) random numbers per draw and no dense eigensolve,
+reproduce the semicircle law in the bulk.  Beyond the soft edge, the counts of
+scaled eigenvalues of the same model land on the gap probabilities computed
 from the Airy Hankel determinant.  Everything is driven by a counter-based
 generator, so a (seed, sample_index) pair pins each matrix.
 """

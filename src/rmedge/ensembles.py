@@ -2,12 +2,11 @@
 
 Every draw reads uniforms from one Philox counter-based generator keyed by
 (seed, sample_index), so identical keys give bit-identical eigenvalue lists
-and independent samples can be drawn in parallel.  Gaussians come from a
-Box-Muller map of those uniforms.  Dense GUE draws are diagonalized by the
-complex Hermitian solver.  Soft-edge gap counts use the Dumitriu-Edelman
-beta = 2 Hermite tridiagonal model, whose eigenvalues have the same joint law
-as the dense GUE draw: eigenvalues above the cut are counted by bisection on
-the n - 1 off-diagonals, without forming an n x n matrix.
+and independent samples can be drawn in parallel.  GUE and real Wishart draws
+are the Dumitriu-Edelman beta = 2 Hermite and beta = 1 Laguerre tridiagonal
+models, whose eigenvalues have the joint law of the dense draws (``gue_matrix``
+and ``gaussian_stream``, Box-Muller normals, are the reference).  Soft-edge gap
+counts count Hermite eigenvalues above the cut by bisection.
 """
 
 import math
@@ -103,12 +102,25 @@ def gue_matrix(n, seed, sample_index=0):
     return A, B
 
 
+def _chi2(u, degrees):
+    """chi^2 variates of the integer ``degrees`` from exactly the uniforms ``u`` they use:
+    2 ceil(m/2) Box-Muller uniforms give a squared normal to each of the m odd degrees,
+    then floor(k/2) exact chi^2_2 = -2 log U add up for each degree k, in degree order."""
+    odd, halves = degrees % 2 == 1, degrees // 2
+    head = 2 * ((np.count_nonzero(odd) + 1) // 2)
+    chi2 = np.zeros(degrees.size)
+    chi2[halves > 0] = np.add.reduceat(-2.0 * np.log(1.0 - u[head:]),
+                                       (np.cumsum(halves) - halves)[halves > 0])
+    chi2[odd] += _box_muller(u[:head], np.count_nonzero(odd)) ** 2
+    return chi2
+
+
 def hermite_tridiagonal(n, seed, sample_index=0):
     """Diagonal and off-diagonal of the beta = 2 Hermite tridiagonal model.
 
     Diagonal N(0, 2)/sqrt(2n), off-diagonals chi_{2k}/sqrt(2n) for
-    k = n-1, ..., 1 (Dumitriu-Edelman): the eigenvalues have the law of
-    ``sample_gue_eigs(n, ...)``.  The first 2 ceil(n/2) uniforms of
+    k = n-1, ..., 1 (Dumitriu-Edelman): the eigenvalues have the law of the
+    dense ``gue_matrix(n, ...)``.  The first 2 ceil(n/2) uniforms of
     Philox(key=(seed, index)) give the diagonal by Box-Muller; the next
     n(n-1)/2 give each chi^2_{2k} as a sum of k exact chi^2_2 = -2 log U.
     """
@@ -118,33 +130,31 @@ def hermite_tridiagonal(n, seed, sample_index=0):
     u = _philox(seed, sample_index).random(head + n * (n - 1) // 2)
     scale = 1.0 / math.sqrt(2.0 * n)
     d = _box_muller(u[:head], n) * (math.sqrt(2.0) * scale)
-    sizes = np.arange(n - 1, 0, -1)
-    starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    chi2 = np.add.reduceat(-2.0 * np.log(1.0 - u[head:]), starts)
-    return d, np.sqrt(chi2) * scale
+    return d, np.sqrt(_chi2(u[head:], np.arange(2 * n - 2, 0, -2))) * scale
 
 
 def sample_gue_eigs(n, seed, sample_index=0):
-    """Eigenvalues of one GUE draw, with the soft-edge rescaling.
-
-    The entry normalization puts the spectrum on [-2, 2], so the soft-edge
-    variables are xi_j = n^{2/3} (lambda_j - 2).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    A, B = gue_matrix(n, seed, sample_index)
-    lam = np.linalg.eigvalsh(A + 1j * B)
+    """Eigenvalues of one GUE draw, ``hermite_tridiagonal(n, seed, sample_index)``, with
+    the soft-edge variables xi_j = n^{2/3} (lambda_j - 2) of its spectrum on [-2, 2]."""
+    lam = eigvalsh_tridiagonal(*hermite_tridiagonal(n, seed, sample_index))
     xi = float(n) ** (2.0 / 3.0) * (lam - 2.0)
     return EnsembleSample(n=n, seed=seed, sample_index=sample_index,
                           eigenvalues=lam, scaled_edge=xi)
 
 
 def sample_wishart_eigs(n, seed, sample_index=0):
-    """Eigenvalues of Y^T Y for Y with independent N(0, 1/n) entries."""
+    """Eigenvalues of Y^T Y for Y with independent N(0, 1/n) entries.
+
+    Drawn as the tridiagonal B B^T / n (diagonal a_i^2 + b_{i-1}^2, off-diagonal
+    a_i b_i) of the Dumitriu-Edelman beta = 1 Laguerre bidiagonal B: ``_chi2`` of the
+    2 ceil(n/2) + n(n-1)/2 uniforms of Philox(key=(seed, index)) gives a_1^2, b_1^2,
+    a_2^2, ..., b_{n-1}^2, a_n^2, of degrees n, n-1, n-1, ..., 1, 1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    Y = gaussian_stream(seed, sample_index, n * n).reshape(n, n) / math.sqrt(n)
-    lam = np.linalg.eigvalsh(Y.T @ Y)
+    u = _philox(seed, sample_index).random(2 * ((n + 1) // 2) + n * (n - 1) // 2)
+    sq = _chi2(u, np.arange(2 * n, 1, -1) // 2) / n
+    lam = eigvalsh_tridiagonal(sq[0::2] + np.append(0.0, sq[1::2]),
+                               np.sqrt(sq[:-1:2] * sq[1::2]))
     return EnsembleSample(n=n, seed=seed, sample_index=sample_index,
                           eigenvalues=lam, scaled_edge=None)
 

@@ -7,11 +7,28 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import ks_2samp
 
 from rmedge import ensembles
+from rmedge.acceptance import MC_SEED
 from rmedge.ensembles import (gaussian_stream, gue_matrix, hermite_tridiagonal,
                               marchenko_pastur_density, sample_gue_eigs,
                               sample_wishart_eigs, semicircle_density,
                               soft_edge_gap_counts)
 from rmedge.specfun import gauss_legendre
+
+
+def dense_gue_eigs(n, seed, sample_index):
+    A, B = gue_matrix(n, seed, sample_index)
+    return np.linalg.eigvalsh(A + 1j * B)
+
+
+def dense_wishart_eigs(n, seed, sample_index):
+    Y = gaussian_stream(seed, sample_index, n * n).reshape(n, n) / math.sqrt(n)
+    return np.linalg.eigvalsh(Y.T @ Y)
+
+
+def two_by_two_eigs(d0, d1, e):
+    """(d0 + d1)/2 -+ sqrt(((d0 - d1)/2)^2 + e^2), the spectrum of [[d0, e], [e, d1]]."""
+    disc = math.sqrt(((d0 - d1) / 2) ** 2 + e * e)
+    return np.array([(d0 + d1) / 2 - disc, (d0 + d1) / 2 + disc])
 
 
 class TestGaussianStream:
@@ -41,19 +58,32 @@ class TestGue:
         det = float(np.linalg.det(H).real)
         disc = math.sqrt(tr * tr / 4 - det)
         want = np.array([tr / 2 - disc, tr / 2 + disc])
-        got = sample_gue_eigs(2, 7, 3).eigenvalues
+        got = dense_gue_eigs(2, 7, 3)
         assert np.abs(np.sort(got) - want).max() < 1e-14
 
     def test_trace_invariance(self):
         A, _ = gue_matrix(9, 3, 1)
-        s = sample_gue_eigs(9, 3, 1)
-        assert abs(np.trace(A) - s.eigenvalues.sum()) < 1e-10
+        assert abs(np.trace(A) - dense_gue_eigs(9, 3, 1).sum()) < 1e-10
 
     def test_embedding_matches_complex_eigensolver(self):
         A, B = gue_matrix(20, 11, 4)
-        s = sample_gue_eigs(20, 11, 4)
-        direct = np.sort(np.linalg.eigvalsh(A + 1j * B))
-        assert np.abs(np.sort(s.eigenvalues) - direct).max() < 1e-9
+        embedded = np.linalg.eigvalsh(np.block([[A, -B], [B, A]]))[0::2]
+        direct = np.sort(dense_gue_eigs(20, 11, 4))
+        assert np.abs(embedded - direct).max() < 1e-9
+
+    def test_draw_is_the_hermite_model(self):
+        for n, seed, idx in ((2, 7, 3), (9, 3, 1), (200, MC_SEED + 1, 0)):
+            want = eigvalsh_tridiagonal(*hermite_tridiagonal(n, seed, idx))
+            assert np.array_equal(sample_gue_eigs(n, seed, idx).eigenvalues, want)
+
+    def test_draw_trace_is_the_diagonal_sum(self):
+        d, _ = hermite_tridiagonal(9, 3, 1)
+        assert abs(d.sum() - sample_gue_eigs(9, 3, 1).eigenvalues.sum()) < 1e-10
+
+    def test_draw_two_by_two_closed_form(self):
+        d, e = hermite_tridiagonal(2, 7, 3)
+        got = sample_gue_eigs(2, 7, 3).eigenvalues
+        assert np.abs(got - two_by_two_eigs(d[0], d[1], e[0])).max() < 1e-14
 
     def test_embedding_pairs_agree(self):
         # the doubled spectrum must consist of near-identical pairs
@@ -86,8 +116,9 @@ class TestGue:
 
 class TestWishart:
     def test_nonnegative(self):
-        s = sample_wishart_eigs(30, 5, 0)
-        assert s.eigenvalues.min() > -1e-10
+        for n in (30, 200):
+            s = sample_wishart_eigs(n, 5, 0)
+            assert s.eigenvalues.min() > -1e-10
 
     def test_two_by_two_closed_form(self):
         Y = gaussian_stream(9, 2, 4).reshape(2, 2) / math.sqrt(2)
@@ -95,8 +126,32 @@ class TestWishart:
         tr, det = float(np.trace(G)), float(np.linalg.det(G))
         disc = math.sqrt(max(tr * tr / 4 - det, 0.0))
         want = np.array([tr / 2 - disc, tr / 2 + disc])
-        got = sample_wishart_eigs(2, 9, 2).eigenvalues
+        got = dense_wishart_eigs(2, 9, 2)
         assert np.abs(np.sort(got) - want).max() < 1e-13
+
+    def test_laguerre_two_by_two_closed_form(self):
+        # B = [[a1, 0], [b1, a2]] from the documented layout: a1^2, b1^2, a2^2
+        # of degrees 2, 1, 1, read from 2 + 1 uniforms
+        u = ensembles._philox(9, 2).random(3)
+        a1, b1, a2 = ensembles._chi2(u, np.array([2, 1, 1])) / 2
+        want = two_by_two_eigs(a1, b1 + a2, math.sqrt(a1 * b1))
+        got = sample_wishart_eigs(2, 9, 2).eigenvalues
+        assert np.abs(got - want).max() < 1e-13
+
+    def test_extreme_eigenvalue_laws_match_dense_wishart(self):
+        n, draws = 8, 4000
+        tri = np.array([sample_wishart_eigs(n, 101, i).eigenvalues for i in range(draws)])
+        dense = np.array([dense_wishart_eigs(n, 202, i) for i in range(draws)])
+        assert ks_2samp(tri[:, -1], dense[:, -1]).pvalue >= 0.01
+        assert ks_2samp(tri[:, 0], dense[:, 0]).pvalue >= 0.01
+
+    def test_trace_moments(self):
+        # tr Y^T Y = chi^2_{n^2} / n: E tr = n and Var tr = 2, as for the dense draw
+        n, draws = 10, 2000
+        tr = np.array([sample_wishart_eigs(n, 6, i).eigenvalues.sum() for i in range(draws)])
+        assert abs(tr.mean() - n) < 4.0 * math.sqrt(2.0 / draws)
+        # the sample variance of near-normal data has standard error 2 sqrt(2 / draws)
+        assert abs(tr.var(ddof=1) - 2.0) < 4.0 * 2.0 * math.sqrt(2.0 / draws)
 
     def test_marchenko_pastur_histogram(self):
         vals = np.concatenate([sample_wishart_eigs(100, 13, i).eigenvalues
@@ -181,12 +236,63 @@ class TestHermiteTridiagonal:
         n, draws = 8, 4000
         tri = [eigvalsh_tridiagonal(*hermite_tridiagonal(n, 101, i))[-1]
                for i in range(draws)]
-        dense = [sample_gue_eigs(n, 202, i).eigenvalues[-1] for i in range(draws)]
+        dense = [dense_gue_eigs(n, 202, i)[-1] for i in range(draws)]
         assert ks_2samp(tri, dense).pvalue >= 0.01
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
             hermite_tridiagonal(1, 0)
+
+    @pytest.mark.parametrize("alpha", [-2.0, 0.0, 1.0])
+    def test_bulk_draw_counts_what_the_soft_edge_counts(self, monkeypatch, alpha):
+        n, seed, samples = 40, 17, 30
+        counted = []
+
+        def spy(*args, **kwargs):
+            w = eigvalsh_tridiagonal(*args, **kwargs)
+            counted.append(w.size)
+            return w
+
+        monkeypatch.setattr(ensembles, "eigvalsh_tridiagonal", spy)
+        soft_edge_gap_counts(n, samples, alpha, seed=seed)
+        monkeypatch.undo()
+        cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)
+        bulk = [int(np.count_nonzero(sample_gue_eigs(n, seed, i).eigenvalues > cut))
+                for i in range(samples)]
+        assert counted == bulk
+
+
+class TestChi2:
+    @pytest.mark.parametrize("n, seed, idx", [(2, 0, 0), (7, 3, 1), (33, 2 ** 63, 9),
+                                              (200, MC_SEED, 0), (200, MC_SEED, 1999)])
+    def test_hermite_draw_is_pinned(self, n, seed, idx):
+        # the formula hermite_tridiagonal had before it shared _chi2, bit for bit
+        head = 2 * ((n + 1) // 2)
+        u = ensembles._philox(seed, idx).random(head + n * (n - 1) // 2)
+        scale = 1.0 / math.sqrt(2.0 * n)
+        d = ensembles._box_muller(u[:head], n) * (math.sqrt(2.0) * scale)
+        sizes = np.arange(n - 1, 0, -1)
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        e = np.sqrt(np.add.reduceat(-2.0 * np.log(1.0 - u[head:]), starts)) * scale
+        got_d, got_e = hermite_tridiagonal(n, seed, idx)
+        assert np.array_equal(got_d, d) and np.array_equal(got_e, e)
+
+    @pytest.mark.parametrize("degrees", [[3, 1, 4, 1, 2, 5], [1], [2, 2], [5, 4, 4, 1, 1]])
+    def test_layout_matches_a_loop(self, degrees):
+        degrees = np.array(degrees)
+        m = int(np.sum(degrees % 2))
+        head = 2 * ((m + 1) // 2)
+        u = ensembles._philox(5, len(degrees)).random(head + int(np.sum(degrees // 2)))
+        z = ensembles._box_muller(u[:head], m)
+        want, pos, j = [], head, 0
+        for k in degrees:
+            x = float(np.sum(-2.0 * np.log(1.0 - u[pos:pos + k // 2])))
+            pos += k // 2
+            if k % 2:
+                x += z[j] ** 2
+                j += 1
+            want.append(x)
+        assert np.allclose(ensembles._chi2(u, degrees), want, rtol=1e-14, atol=0.0)
 
 
 class TestGapCountArguments:
@@ -247,6 +353,15 @@ class TestGapCountArguments:
         monkeypatch.setattr(ensembles, "gaussian_stream", dense)
         res = soft_edge_gap_counts(50, 20, 0.0, seed=8)
         assert res.probs.sum() + res.manifest["overflow_count"] / 20 == 1.0
+
+    def test_bulk_draws_never_form_a_dense_matrix(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense draw")
+
+        monkeypatch.setattr(ensembles, "gue_matrix", dense)
+        monkeypatch.setattr(ensembles, "gaussian_stream", dense)
+        assert sample_gue_eigs(50, 8, 0).eigenvalues.shape == (50,)
+        assert sample_wishart_eigs(50, 8, 0).eigenvalues.shape == (50,)
 
 
 def test_density_normalizations():
