@@ -213,7 +213,6 @@ def _build_parser():
         sp.add_argument("--interval", nargs=2, required=True,
                         metavar=("LO", "HI"), help="interval; HI may be 'inf'")
         sp.add_argument("--n", type=int, default=64, help="quadrature nodes")
-        sp.add_argument("--out", help="output path")
 
     sp = sub.add_parser("det", help="Fredholm determinant det(I - zK) (JSON)")
     add_kernel_flags(sp)
@@ -232,7 +231,6 @@ def _build_parser():
     sp.add_argument("--xmax", type=float, default=2.0)
     sp.add_argument("--step", type=float, default=0.1)
     sp.add_argument("--n", type=int, default=100, help="determinant-route nodes")
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_tw)
 
     sp = sub.add_parser("hardedge", help="hard-edge determinant identity (JSON)")
@@ -240,21 +238,18 @@ def _build_parser():
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--z", type=float, default=1.0)
     sp.add_argument("--n", type=int, default=80)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_hardedge)
 
     sp = sub.add_parser("hill", help="periodic spectrum + discriminant scan (CSV)")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--count", type=int, default=9)
     sp.add_argument("--scan-points", type=int, default=120)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_hill)
 
     sp = sub.add_parser("mathieu", help="Mathieu kernel eigen-report (JSON)")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--index", type=int, required=True)
     sp.add_argument("--n", type=int, default=256)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_mathieu)
 
     sp = sub.add_parser("sample", help="empirical vs predicted E(k) (CSV)")
@@ -264,11 +259,12 @@ def _build_parser():
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--kmax", type=int, default=6)
-    sp.add_argument("--out")
     sp.set_defaults(func=_cmd_sample)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     sp.set_defaults(func=_cmd_verify)
+    for name in _EXTENSIONS:
+        sub.choices[name].add_argument("--out", help="output path")
     for q in (p, *sub.choices.values()):
         q._negative_number_matcher = _NEGATIVE_NUMBER
     return p, list(sub.choices.values())

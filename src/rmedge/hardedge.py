@@ -16,7 +16,7 @@ from .errors import TruncationError
 from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
                       qbessel_kernel, symmetric_grid)
 from .linop import checked_log_det, discretize, fredholm_det, sym_eigen
-from .specfun import bessel_jv, gauss_legendre, unimodular_gamma_ratio
+from .specfun import bessel_jv, gauss_legendre, panel_rule, unimodular_gamma_ratio
 
 __all__ = [
     "HardEdgeConfig",
@@ -28,9 +28,6 @@ __all__ = [
     "u_nu_eval",
     "q_projection_defect",
 ]
-
-_BASE = gauss_legendre(10, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class HardEdgeConfig:
@@ -81,10 +78,8 @@ def _panel_grid(y_lo, y_hi, width):
         step = min(width, max(0.3 * y, 0.5 * y_lo, 1e-12))
         y = min(y + step, y_hi)
         bounds.append(y)
-    b = np.array(bounds)
-    ys = (b[:-1, None] + np.diff(b)[:, None] * _BASE.nodes).ravel()
-    wt = (np.diff(b)[:, None] * _BASE.weights).ravel()
-    return ys, wt
+    ys, wt = panel_rule(np.array(bounds))
+    return ys.ravel(), wt.ravel()
 
 
 def apply_g(nu, ell, f, xi_out, y_lo=1e-9, y_hi=16.0, rad_per_panel=6.0):
@@ -149,16 +144,9 @@ def g_involution_check(nu, ell, test_functions, grid=None):
         y_sup_lo = math.exp(-float(alive[-1]) - 0.1)
         y_sup_hi = math.exp(-float(alive[0]) + 0.1)
         g_vals = apply_g(nu, ell, f, eta_grid, y_lo=y_sup_lo, y_hi=y_sup_hi)
-        spline = CubicSpline(eta_grid, g_vals, bc_type="natural")
-
-        def g_fun(eta, spline=spline):
-            eta = np.asarray(eta, dtype=float)
-            out = np.zeros_like(eta)
-            m = (eta >= eta_grid[0]) & (eta <= eta_grid[-1])
-            out[m] = spline(eta[m])
-            return out
-
-        gg = apply_g(nu, ell, g_fun, grid,
+        # G f is zero outside the tabulated window, where the spline gives NaN
+        spline = CubicSpline(eta_grid, g_vals, bc_type="natural", extrapolate=False)
+        gg = apply_g(nu, ell, lambda eta: np.nan_to_num(spline(eta)), grid,
                      y_lo=math.exp(-hi), y_hi=math.exp(-lo))
         worst = max(worst, float(np.abs(gg - np.asarray(f(grid))).max()))
     return worst

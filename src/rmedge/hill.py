@@ -17,7 +17,6 @@ whose eigenfunctions at simple nonzero eigenvalues again solve the equation.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,12 +100,10 @@ def discriminant_and_derivative(alpha, lam):
     return float(y[0] + y[3]), float(y[4] + y[7])
 
 
-@lru_cache(maxsize=1)
 def _monodromy_batch(alpha, lams):
-    """Rows s11, s21, s12, s22 of S(pi) on a tuple of spectral parameters,
-    through one stacked integration.  The last batch is kept (read-only), so
-    the certificate reads the scale of the integration behind its Delta."""
-    lams = np.array(lams, dtype=float)
+    """Rows s11, s21, s12, s22 of S(pi) on an array of spectral parameters,
+    through one stacked integration."""
+    lams = np.asarray(lams, dtype=float).ravel()
     m = lams.size
     y0 = np.zeros(4 * m)
     y0[0::4] = 1.0
@@ -124,14 +121,12 @@ def _monodromy_batch(alpha, lams):
 
     sol = solve_ivp(rhs, (0.0, math.pi), y0, method="DOP853",
                     rtol=_IVP_RTOL, atol=1e-14)
-    s = sol.y[:, -1].reshape(m, 4).T.copy()
-    s.flags.writeable = False
-    return s
+    return sol.y[:, -1].reshape(m, 4).T
 
 
 def _discriminants_batch(alpha, lams):
     """Delta on a grid of spectral parameters through one stacked integration."""
-    s = _monodromy_batch(float(alpha), tuple(np.asarray(lams, dtype=float).ravel()))
+    s = _monodromy_batch(alpha, lams)
     return s[0] + s[3]
 
 
@@ -190,11 +185,11 @@ def periodic_spectrum(alpha, count):
     if count > 40:
         raise ValueError("count > 40 is outside the supported resolution")
     lams, tags = _spectrum_entries(alpha, count)
-    miss = np.abs(np.abs(_discriminants_batch(alpha, lams)) - 2.0)
+    s = _monodromy_batch(alpha, lams)
+    miss = np.abs(np.abs(s[0] + s[3]) - 2.0)
     # Delta = s11 + s22 cancels entries as large as max|S(pi)|, each carrying
     # the integration's relative error, so that is the floor of the bound
-    scale = np.abs(_monodromy_batch(float(alpha), tuple(lams))).max()
-    tol = max(_CERTIFICATE_TOL, _IVP_RTOL * scale)
+    tol = max(_CERTIFICATE_TOL, _IVP_RTOL * np.abs(s).max())
     worst = int(np.argmax(miss))
     if miss[worst] > tol:
         raise ResolutionError(

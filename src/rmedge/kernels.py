@@ -114,8 +114,8 @@ def kernel_matrix(spec, nodes):
     an evaluator K(x, y) is evaluated once per unordered pair of nodes.
     """
     nodes = np.asarray(nodes, dtype=float)
+    _check_domain(spec, nodes)
     if spec.ab is not None:
-        _check_domain(spec, nodes)
         a, b = spec.ab(nodes)
         g = spec.denom(nodes)
         near = np.abs(nodes[:, None] - nodes[None, :]) < _NEAR_DIAG
@@ -128,7 +128,6 @@ def kernel_matrix(spec, nodes):
         return K
     if spec.symbol is None:
         return symmetric_grid(lambda x, y: kernel_eval(spec, x, y), nodes)
-    _check_domain(spec, nodes)
     return symmetric_grid(lambda x, y: spec.symbol(x + y), nodes)
 
 
@@ -284,7 +283,7 @@ def sine_circle_kernel(n):
     """Circular kernel n sin(n(x-y)) / sin(x-y), evaluated singularity-free.
 
     sin(n d)/sin(d) is the Chebyshev polynomial U_{n-1}(cos d), so the kernel
-    is entire in (x, y); the diagonal value is n^2.
+    is entire in (x, y); on the diagonal it gives n U_{n-1}(1) = n^2 exactly.
     """
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
@@ -299,8 +298,7 @@ def sine_circle_kernel(n):
             u, u_prev = 2.0 * c * u - u_prev, u
         return n * u
 
-    return KernelSpec("sine_circle", {"n": n}, (-math.inf, math.inf), ev,
-                      diag=lambda x: np.full(np.shape(x), float(n * n)))
+    return KernelSpec("sine_circle", {"n": n}, (-math.inf, math.inf), ev)
 
 
 def hankel_symbol_kernel(symbol, tail_length, family="custom_symbol", params=None,

@@ -61,9 +61,9 @@ def _check_contraction(spec, kappa):
 
 
 def _shifted_hankel(spec, x, n):
-    """The Hankel operator with kernel A(x+s+t) on (0, L)."""
-    L = float(spec.tail_length)
-    return discretize(hankel_symbol_kernel(lambda s: spec.symbol(x + s), L), (0.0, L), n)
+    """The Hankel operator with kernel A(x+s+t) on (0, inf), cut by linop's tail check."""
+    shifted = hankel_symbol_kernel(lambda s: spec.symbol(x + s), spec.tail_length)
+    return discretize(shifted, (0.0, np.inf), n)
 
 
 def solve_marchenko(spec, kappa, x, n=160):
@@ -83,6 +83,7 @@ def solve_marchenko(spec, kappa, x, n=160):
 
 def resolvent_series_values(spec, kappa, x, z, n=160):
     """K by the resolvent formula kappa W + kappa^3 W (I - kappa^2 PWP)^{-1} W."""
+    _check_contraction(spec, kappa)
     L = float(spec.tail_length)
     rule = gauss_legendre(n, x, x + L)
     y = rule.nodes

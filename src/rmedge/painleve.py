@@ -24,7 +24,7 @@ from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
 from .linop import checked_log_det, discretize, sym_eigen
-from .specfun import airy, gauss_legendre
+from .specfun import airy, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
 
@@ -101,9 +101,6 @@ def _tail_moments(t, anchor):
     return t * float(np.dot(vals, rule.nodes)), t * float(np.sum(vals))
 
 
-_PANEL = gauss_legendre(10, 0.0, 1.0)
-
-
 def _moment_integrals(sol, xs, anchor):
     """int_x^anchor (y - x) w(y)^2 dy for every x in the increasing grid xs.
 
@@ -115,9 +112,7 @@ def _moment_integrals(sol, xs, anchor):
     edges = np.concatenate(
         [np.linspace(a, b, m + 1)[:-1] for a, b, m in zip(bounds[:-1], bounds[1:], pieces)]
         + [[anchor]])
-    widths = np.diff(edges)
-    ys = edges[:-1, None] + widths[:, None] * _PANEL.nodes[None, :]
-    wts = widths[:, None] * _PANEL.weights[None, :]
+    ys, wts = panel_rule(edges)
     w = sol.sol(ys.ravel())[0].reshape(ys.shape)
     mass = (wts * w * w).sum(axis=1)
     first = (wts * ys * w * w).sum(axis=1)

@@ -18,6 +18,7 @@ __all__ = [
     "QuadRule",
     "gauss_legendre",
     "periodic_rule",
+    "panel_rule",
     "airy",
     "bessel_j",
     "bessel_jv",
@@ -109,6 +110,17 @@ def periodic_rule(n, lo, hi):
     nodes = lo + h * (np.arange(n) + 0.5)
     weights = np.full(n, h)
     return QuadRule(nodes=nodes, weights=weights, interval=(lo, hi))
+
+
+_PANEL = gauss_legendre(10, 0.0, 1.0)
+
+
+def panel_rule(edges):
+    """10-point Gauss-Legendre (nodes, weights) on the panels between increasing
+    edges, one row per panel."""
+    widths = np.diff(edges)
+    return (edges[:-1, None] + widths[:, None] * _PANEL.nodes[None, :],
+            widths[:, None] * _PANEL.weights[None, :])
 
 
 _AIRY_C = 0.183776298473930683  # 1/(pi sqrt 3), as AMOS ZAIRY rounds it

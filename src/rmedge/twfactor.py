@@ -85,9 +85,7 @@ class FactorPair:
 
 def airy_system():
     """A'' = x A with the decaying solution: A = Ai, B = Ai'."""
-    a0, ap0 = airy(0.0)
-    return OdeSystem(alpha=(0.0, 0.0), beta=(1.0, 0.0), gamma=(0.0, -1.0),
-                     A0=a0, B0=ap0, x0=0.0, closed_form=airy)
+    return scaled_airy_system(1.0, closed_form=True)
 
 
 def sine_system():

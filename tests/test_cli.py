@@ -430,3 +430,20 @@ class TestConfigKeys:
         assert code == 1
         assert "ensemble='goe'" in capsys.readouterr().err
         assert not (tmp_path / "sample.csv").exists()
+
+    def test_malformed_config_line_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n 16\n")
+        code = run(tmp_path, "--config", str(cfg), "det", "--kernel", "sine",
+                   "--interval", "0", "1")
+        assert code == 1
+        assert "malformed config line: 'n 16'" in capsys.readouterr().err
+        assert not (tmp_path / "det.json").exists()
+
+
+def test_out_is_a_flag_of_every_file_writing_subcommand():
+    from rmedge.cli import _EXTENSIONS, _build_parser
+    _, subparsers = _build_parser()
+    with_out = {sp.prog.split()[-1] for sp in subparsers
+                if any(a.dest == "out" for a in sp._actions)}
+    assert with_out == set(_EXTENSIONS)

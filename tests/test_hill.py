@@ -125,9 +125,11 @@ class TestPeriodicSpectrum:
 
     def test_certificate_failure_is_typed(self, monkeypatch, tmp_path, capsys):
         # a discriminant off +-2 at the returned eigenvalues refuses the
-        # spectrum, in the library and in the CLI
-        monkeypatch.setattr(hill, "_discriminants_batch",
-                            lambda alpha, lams: np.full(np.size(lams), 1.5))
+        # spectrum, in the library and in the CLI: rows s11, s21, s12, s22
+        # of S(pi) with s11 + s22 = 1.5
+        monkeypatch.setattr(hill, "_monodromy_batch",
+                            lambda alpha, lams: np.outer([0.75, 0.0, 0.0, 0.75],
+                                                         np.ones(np.size(lams))))
         with pytest.raises(ResolutionError):
             periodic_spectrum(1.0, 5)
         monkeypatch.chdir(tmp_path)
@@ -176,6 +178,12 @@ class TestProductFormula:
         lhs, _, gap = product_formula_check(1.0, 0.3, 20, spectrum=s1)
         assert gap / abs(lhs) < 0.035
 
+    def test_default_spectrum_is_the_certified_one(self):
+        # without a spectrum the check reads the same 2 n + 1 Fourier eigenvalues
+        n = 5
+        given = product_formula_check(1.0, 0.3, n, spectrum=periodic_spectrum(1.0, 2 * n + 1))
+        assert product_formula_check(1.0, 0.3, n) == given
+
 
 class TestMathieuKernel:
     def test_free_kernel_closed_form(self):
@@ -197,6 +205,13 @@ class TestMathieuKernel:
         ev = np.sort(np.linalg.eigvalsh(0.5 * (K + K.T) * rule.weights[0]))[::-1]
         assert np.abs(ev[:3] - 6 * math.pi).max() < 1e-8
         assert abs(ev[3]) < 1e-8
+
+    def test_cosine_mode_sign_is_fixed_by_its_largest_value(self):
+        # index 5 at alpha = 1 is a cosine mode, so A'(0) = 0 and the sign is
+        # fixed by the largest |A|, which the Fourier eigenvector has negative
+        k = mathieu_tw_kernel(1.0, 5)
+        assert k.A_prime_values[0] == 0.0
+        assert k.A_values[np.argmax(np.abs(k.A_values))] > 0
 
     def test_wrong_period_rejected(self):
         with pytest.raises(WrongPeriodError):

@@ -117,6 +117,18 @@ def test_contraction_violation_detected():
         solve_marchenko(exp_symbol(scale=3.0), 0.8, 0.5)
 
 
+def test_resolvent_series_refuses_the_same_non_contraction():
+    # this returned K = (2.816, 1.708) at z = (0.5, 1) without the check
+    with pytest.raises(ContractionError):
+        resolvent_series_values(exp_symbol(scale=3.0), 0.8, 0.5, [0.5, 1.0])
+
+
+def test_log_det_tail_refuses_a_negative_determinant():
+    # the one Hankel eigenvalue 3/2 gives det(I - Gamma^2) = 1 - 9/4 < 0
+    with pytest.raises(ContractionError, match="<= 0"):
+        log_det_tail(exp_symbol(scale=3.0), 1.0, 0.0)
+
+
 def test_log_det_tail_refuses_a_factor_below_the_rounding_level():
     # 1 - gamma^2 = 2.29e-14 is below n eps max gamma^2 = 3.55e-14 (n = 160):
     # this returned -31.409 against the exact log(1 - (1 - e^-32)^2) = -31.307
