@@ -32,7 +32,6 @@ __all__ = [
     "MathieuKernel",
     "monodromy",
     "discriminant",
-    "discriminant_and_derivative",
     "periodic_spectrum",
     "product_formula_check",
     "mathieu_tw_kernel",
@@ -54,72 +53,35 @@ class HillModel:
     lam: float
 
 
-def _rhs_factory(alpha, lam, with_deriv):
-    if not with_deriv:
-        def rhs(x, y):
-            q = alpha * math.cos(2.0 * x)
-            # columns of S stacked: y = [s11, s21, s12, s22]
-            return [y[1], -(lam + q) * y[0], y[3], -(lam + q) * y[2]]
-        return rhs
-
-    def rhs(x, y):
-        q = alpha * math.cos(2.0 * x)
-        k = lam + q
-        # S and dS/dlambda stacked; d/dlambda of the companion matrix is
-        # [[0, 0], [-1, 0]]
-        return [y[1], -k * y[0], y[3], -k * y[2],
-                y[5], -k * y[4] - y[0], y[7], -k * y[6] - y[2]]
-    return rhs
-
-
-def _propagate(alpha, lam, x_end=math.pi, with_deriv=False):
-    n = 8 if with_deriv else 4
-    y0 = np.zeros(n)
-    y0[0] = 1.0
-    y0[3] = 1.0
-    sol = solve_ivp(_rhs_factory(alpha, lam, with_deriv), (0.0, x_end), y0,
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    return sol.y[:, -1]
-
-
 def monodromy(model):
     """Fundamental matrix S(pi); det S = 1 by Wronskian conservation."""
-    y = _propagate(model.alpha, model.lam)
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
+    return _monodromy_batch(model.alpha, [model.lam])[:, 0].reshape(2, 2).T
 
 
 def discriminant(model):
     """Delta(lambda) = trace S(pi)."""
-    y = _propagate(model.alpha, model.lam)
-    return float(y[0] + y[3])
+    return float(_discriminants_batch(model.alpha, [model.lam])[0])
 
 
-def discriminant_and_derivative(alpha, lam):
-    """(Delta, dDelta/dlambda) through the variational system."""
-    y = _propagate(alpha, lam, with_deriv=True)
-    return float(y[0] + y[3]), float(y[4] + y[7])
-
-
-def _monodromy_batch(alpha, lams):
-    """Rows s11, s21, s12, s22 of S(pi) on an array of spectral parameters,
-    through one stacked integration."""
+def _monodromy_batch(alpha, lams, x_end=math.pi):
+    """Rows s11, s21, s12, s22 of S(x_end) on an array of spectral parameters,
+    through one stacked integration; a single lambda is a batch of one."""
     lams = np.asarray(lams, dtype=float).ravel()
+    if not (math.isfinite(alpha) and np.all(np.isfinite(lams))):
+        raise ValueError("alpha and every lambda must be finite")
     m = lams.size
-    y0 = np.zeros(4 * m)
-    y0[0::4] = 1.0
-    y0[3::4] = 1.0
+    # the columns (y, y') of S stacked per lambda, S(0) = I; each column
+    # moves as (y', -k y) with k = lambda + alpha cos 2x
+    y0 = np.tile([1.0, 0.0, 0.0, 1.0], m)
+    swap = np.arange(4 * m) ^ 1
+    lam2 = np.repeat(lams, 2)
 
     def rhs(x, y):
-        q = alpha * math.cos(2.0 * x)
-        k = lams + q
-        out = np.empty_like(y)
-        out[0::4] = y[1::4]
-        out[1::4] = -k * y[0::4]
-        out[2::4] = y[3::4]
-        out[3::4] = -k * y[2::4]
+        out = y[swap]
+        out[1::2] *= -(lam2 + alpha * math.cos(2.0 * x))
         return out
 
-    sol = solve_ivp(rhs, (0.0, math.pi), y0, method="DOP853",
+    sol = solve_ivp(rhs, (0.0, x_end), y0, method="DOP853",
                     rtol=_IVP_RTOL, atol=1e-14)
     return sol.y[:, -1].reshape(m, 4).T
 
@@ -184,6 +146,8 @@ def periodic_spectrum(alpha, count):
         raise ValueError("count must be positive")
     if count > 40:
         raise ValueError("count > 40 is outside the supported resolution")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     lams, tags = _spectrum_entries(alpha, count)
     s = _monodromy_batch(alpha, lams)
     miss = np.abs(np.abs(s[0] + s[3]) - 2.0)
@@ -246,6 +210,8 @@ def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
     anti-periodic Floquet solution.  A is the series of the Fourier-block
     eigenvector, ||A||^2 = pi, with A'(0) > 0, else its largest |A| positive.
     """
+    if not 0 <= spectral_index < 40:
+        raise ValueError(f"spectral_index must lie in 0..39, got {spectral_index}")
     spectrum = periodic_spectrum(alpha, spectral_index + 1)
     tag = spectrum.period_tags[spectral_index]
     if tag != "2pi-periodic":
@@ -305,8 +271,11 @@ def mathieu_eigencheck(kernel, n=256, top=6):
     accurate for smooth periodic kernels).  For each retained eigenfunction f
     the residual of f'' + (mu + alpha cos 2x) f with the least-squares mu is
     reported, normalized by (1 + |mu|) ||f||.  Eigenvalues that are not simple
-    are skipped, as are near-zero ones.
+    are skipped, as are near-zero ones.  n < 5 is refused: on 1, 2 or 4 nodes
+    cos 2x is constant, so mu absorbs the potential and nothing is checked.
     """
+    if n < 5:
+        raise ValueError(f"mathieu_eigencheck needs n >= 5 nodes, got {n}")
     rule = periodic_rule(n, 0.0, 2.0 * math.pi)
     xs = rule.nodes
     K = np.asarray(kernel.spec.evaluator(xs[:, None], xs[None, :]))

@@ -56,6 +56,8 @@ class PIISolution:
 def _integrate_pii(t, x_min, anchor):
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
+    if not math.isfinite(x_min):
+        raise ValueError("x_min must be finite")
     ai, aip = airy(anchor)
     y0 = [-np.sqrt(t) * ai, -np.sqrt(t) * aip]
 

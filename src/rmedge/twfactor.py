@@ -129,6 +129,8 @@ def _solution(sys, x_hi):
     """
     if sys.closed_form is not None:
         return sys.closed_form
+    if not (math.isfinite(sys.x0) and math.isfinite(x_hi)):
+        raise ValueError("the integration range must be finite")
 
     def rhs(x, y):
         al, be, ga = sys.coeff(x)
@@ -205,7 +207,6 @@ def verify_factorization(sys, interval, n):
     solutions fail the integrability hypothesis are rejected.
     """
     lo, hi = interval
-    xs = np.linspace(lo, hi, n)
     L = 10.0
     while True:
         ab = _solution(sys, hi + L)
@@ -219,6 +220,7 @@ def verify_factorization(sys, interval, n):
             "solutions do not decay; the factorization requires bounded, "
             "continuous and integrable A, B")
 
+    xs = np.linspace(lo, hi, n)
     rule = gauss_legendre(240, 0.0, L)
     FX, GX = pair.symbols(xs[:, None] + rule.nodes[None, :])
     rhs = (FX * rule.weights) @ FX.T + (GX * rule.weights) @ GX.T

@@ -359,6 +359,28 @@ class TestRunner:
         assert "error [ValueError]: --step must be positive and finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [("hill", "--count", "3"), ("mathieu", "--index", "1")],
+                             ids=["hill", "mathieu"])
+    def test_non_finite_alpha_writes_nothing(self, tmp_path, capsys, argv, alpha):
+        # inf ended in an OverflowError traceback, nan in a message about integers
+        code = run(tmp_path, *argv, "--alpha", alpha)
+        assert code == 1
+        assert "error [ValueError]: alpha must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--index", "1", "--n", "4"), "needs n >= 5 nodes"),
+        (("--index", "-1"), "spectral_index must lie in 0..39"),
+        (("--index", "40"), "spectral_index must lie in 0..39"),
+    ], ids=["n4", "index-1", "index40"])
+    def test_mathieu_refuses_what_it_cannot_check(self, tmp_path, capsys, argv, message):
+        code = run(tmp_path, "mathieu", "--alpha", "1", *argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error [ValueError]: " in err and message in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestConfigKeys:
     def test_key_matching_no_flag_is_refused(self, tmp_path, capsys):

@@ -7,8 +7,8 @@ from scipy.special import mathieu_a, mathieu_b
 from rmedge import hill
 from rmedge.cli import main
 from rmedge.errors import ResolutionError, WrongPeriodError
-from rmedge.hill import (HillModel, PeriodicSpectrum, _spectrum_entries,
-                         discriminant, discriminant_and_derivative,
+from rmedge.hill import (HillModel, PeriodicSpectrum, _discriminants_batch,
+                         _monodromy_batch, _spectrum_entries, discriminant,
                          mathieu_eigencheck, mathieu_tw_kernel, monodromy,
                          periodic_spectrum, product_formula_check)
 from rmedge.specfun import periodic_rule
@@ -30,9 +30,8 @@ class TestMonodromy:
 
     def test_wronskian_along_the_interval(self):
         # det S(x) = 1 at interior points too
-        from rmedge.hill import _propagate
         for x_end in (0.7, 1.5, 2.8):
-            y = _propagate(1.0, 2.0, x_end=x_end)
+            y = _monodromy_batch(1.0, [2.0], x_end=x_end)[:, 0]
             det = y[0] * y[3] - y[1] * y[2]
             assert abs(det - 1.0) < 1e-10
 
@@ -48,12 +47,33 @@ class TestDiscriminant:
         free = 2.0 * math.cos(math.pi * 10.0)
         assert abs(got - free) < 0.05
 
-    def test_derivative_against_differences(self):
-        d, dp = discriminant_and_derivative(1.0, 2.0)
-        h = 1e-6
-        fd = (discriminant(HillModel(1.0, 2.0 + h))
-              - discriminant(HillModel(1.0, 2.0 - h))) / (2 * h)
-        assert abs(dp - fd) < 1e-6
+
+# S(pi) and Delta pinned bit for bit, single lambdas included (each runs as a
+# batch of one)
+PINNED_MONODROMY = {
+    0.0: ["0x1.8b98ee4230290p-2", "0x1.263d0ccae439ap+2", "-0x1.7afa4e72b0210p-3",
+          "0x1.8b98ee422fc02p-2"],
+    5.0: ["0x1.8157a2ba8b445p-1", "0x1.1884b3694c41dp-2", "-0x1.952963e37a274p+0",
+          "0x1.8157a2ba8b55fp-1"],
+    30.0: ["-0x1.29dcb1ee4ead3p-4", "-0x1.6ea969a3aa4fdp-3", "0x1.63955dbc5c1cap+2",
+           "-0x1.29dcb1ee4eac2p-4"],
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("lam", PINNED_MONODROMY)
+    def test_monodromy(self, lam):
+        got = monodromy(HillModel(1.0, lam)).ravel()
+        assert [float(v).hex() for v in got] == PINNED_MONODROMY[lam]
+
+    def test_discriminant(self):
+        assert discriminant(HillModel(0.0, 2.7)).hex() == "0x1.bd32601e04b85p-1"
+
+    def test_batch(self):
+        got = _discriminants_batch(1.0, np.linspace(-2, 10, 5))
+        assert [float(v).hex() for v in got] == [
+            "0x1.44706e32adff4p+6", "-0x1.4e63be23b3d5ep+1", "0x1.002bcfc5e71d9p+1",
+            "-0x1.b9279f7526100p-1", "-0x1.c09cbc72877e8p+0"]
 
 
 class TestPeriodicSpectrum:
@@ -288,6 +308,17 @@ class TestMathieuEigencheck:
         rep = mathieu_eigencheck(k, n=128)
         assert rep["skipped_degenerate"] >= 3
         assert rep["max_residual"] < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_node_counts_where_cos2x_is_constant_are_refused(self, n):
+        # on these rules mu absorbs the potential: --n 4 reported 6.4e-16
+        with pytest.raises(ValueError, match="needs n >= 5 nodes"):
+            mathieu_eigencheck(mathieu_tw_kernel(1.0, 1), n=n)
+
+    @pytest.mark.parametrize("index", [-1, 40])
+    def test_index_outside_the_spectrum_is_named(self, index):
+        with pytest.raises(ValueError, match="spectral_index must lie in 0..39"):
+            mathieu_tw_kernel(1.0, index)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_mathieu_eigenfunctions_solve_the_equation(self, alpha):

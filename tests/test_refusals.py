@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rmedge import ensembles, hardedge, kernels, linop, painleve, specfun, twfactor
+from rmedge import ensembles, hardedge, hill, kernels, linop, painleve, specfun, twfactor
 
 
 def _op(matrix):
@@ -46,6 +46,33 @@ REFUSALS = {
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_refused_with_a_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call()
+    assert info.type is ValueError
+
+
+# ODE entry points that looped without end on a non-finite input
+NON_FINITE = {
+    "monodromy-alpha-inf": (lambda: hill.monodromy(hill.HillModel(np.inf, 1.0)),
+                            "alpha and every lambda must be finite"),
+    "discriminant-lambda-nan": (lambda: hill.discriminant(hill.HillModel(1.0, np.nan)),
+                                "alpha and every lambda must be finite"),
+    "product-formula-lambda-nan": (lambda: hill.product_formula_check(1.0, np.nan, 3),
+                                   "alpha and every lambda must be finite"),
+    "periodic-spectrum-alpha-nan": (lambda: hill.periodic_spectrum(np.nan, 3),
+                                    "alpha must be finite"),
+    "tw-cdf-minus-inf": (lambda: painleve.tw_cdf(1.0, [-np.inf, 0.0]), "x_min must be finite"),
+    "solve-pii-minus-inf": (lambda: painleve.solve_pii(1.0, -np.inf, 8.0),
+                            "x_min must be finite"),
+    "factorization-inf": (lambda: twfactor.verify_factorization(
+        twfactor.scaled_airy_system(), (0.0, np.inf), 10), "range must be finite"),
+    "factorization-nan": (lambda: twfactor.verify_factorization(
+        twfactor.scaled_airy_system(), (0.0, np.nan), 10), "range must be finite"),
+}
+
+
+@pytest.mark.parametrize("call, message", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_ode_input_refused_before_integrating(call, message, deadline):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         call()
     assert info.type is ValueError
