@@ -9,8 +9,8 @@ against the deterministic predictions.
 
 __version__ = "0.3.0"
 
-from .specfun import (QuadRule, airy, bessel_j, bessel_jv, gauss_legendre, log_gamma_complex,
-                      periodic_rule)
+from .specfun import (QuadRule, airy, airy_ai, bessel_j, bessel_jv, gauss_legendre,
+                      log_gamma_complex, periodic_rule)
 from .kernels import (
     KernelSpec,
     airy_kernel,

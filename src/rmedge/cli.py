@@ -154,10 +154,10 @@ def _cmd_mathieu(args, out):
 
 
 def _cmd_sample(args, out):
+    symbol = kernels.airy_symbol_kernel(shift=args.alpha)
     res = ensembles.soft_edge_gap_counts(args.n, args.samples, args.alpha,
                                          seed=args.seed, kmax=args.kmax)
-    airy_sq = linop.operator_square(linop.discretize(
-        kernels.airy_symbol_kernel(shift=args.alpha), (0.0, math.inf), 100))
+    airy_sq = linop.operator_square(linop.discretize(symbol, (0.0, math.inf), 100))
     predicted = linop.gap_probs(airy_sq, args.kmax).probs
     rows = [(k, res.probs[k], res.std_errors[k], predicted[k])
             for k in range(args.kmax + 1)]

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import TruncationError
-from .specfun import airy, bessel_jv, gauss_legendre
+from .specfun import airy, airy_ai, bessel_jv, gauss_legendre
 
 __all__ = [
     "KernelSpec",
@@ -241,9 +241,11 @@ def airy_symbol_kernel(shift=0.0):
     """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator,
     cut where its argument reaches 8 (Ai(8) = 4.7e-8) and not before 14."""
     shift = float(shift)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
 
     def sym(s):
-        return airy(shift + np.asarray(s, dtype=float))[0]
+        return airy_ai(shift + np.asarray(s, dtype=float))
 
     return hankel_symbol_kernel(sym, max(14.0, 8.0 - shift), "airy_symbol",
                                 {"shift": shift})

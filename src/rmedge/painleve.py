@@ -24,7 +24,7 @@ from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
 from .linop import checked_log_det, discretize, sym_eigen
-from .specfun import airy, gauss_legendre, panel_rule
+from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
 
@@ -98,7 +98,7 @@ def solve_pii(t, x_min, x_max, num=None):
 def _tail_moments(t, anchor):
     """t * int_anchor^inf y^k Ai(y)^2 dy for k = 1, 0: the mass beyond the anchor."""
     rule = gauss_legendre(60, anchor, anchor + 12.0)
-    ai = airy(rule.nodes)[0]
+    ai = airy_ai(rule.nodes)
     vals = rule.weights * ai * ai
     return t * float(np.dot(vals, rule.nodes)), t * float(np.sum(vals))
 

@@ -20,6 +20,7 @@ __all__ = [
     "periodic_rule",
     "panel_rule",
     "airy",
+    "airy_ai",
     "bessel_j",
     "bessel_jv",
     "log_gamma_complex",
@@ -126,6 +127,25 @@ def panel_rule(edges):
 _AIRY_C = 0.183776298473930683  # 1/(pi sqrt 3), as AMOS ZAIRY rounds it
 
 
+def _airy(x, derivative):
+    """[Ai] or [Ai, Ai'], the one body of ``airy`` and ``airy_ai``."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("airy requires finite arguments")
+    x = np.asarray(x, dtype=float)
+    out = [np.empty_like(x) for _ in range(1 + derivative)]
+    big = x > 10.0
+    for o, v in zip(out, _sp.airy(x[~big])):
+        o[~big] = v
+    # the clip keeps zeta finite (K_nu is 0.0 from x ~ 104); 0.0 - p keeps Ai' = +0.0 there
+    xb = np.minimum(x[big], 200.0)
+    rt = np.sqrt(xb)
+    zeta = xb * rt * (2.0 / 3.0)
+    out[0][big] = rt * (_sp.kv(1.0 / 3.0, zeta) * _AIRY_C)
+    if derivative:
+        out[1][big] = 0.0 - xb * (_sp.kv(2.0 / 3.0, zeta) * _AIRY_C)
+    return [o[()] for o in out]
+
+
 def airy(x):
     """Airy function of the first kind and its derivative, (Ai, Ai').
 
@@ -135,19 +155,12 @@ def airy(x):
     The same K calls in ZAIRY's operation order give its values bit for bit,
     at a fifth of the cost.  Large x underflows cleanly to (0.0, 0.0).
     """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("airy requires finite arguments")
-    x = np.asarray(x, dtype=float)
-    ai, aip = np.empty_like(x), np.empty_like(x)
-    big = x > 10.0
-    ai[~big], aip[~big], _, _ = _sp.airy(x[~big])
-    # the clip keeps zeta finite (K_nu is 0.0 from x ~ 104); 0.0 - p keeps Ai' = +0.0 there
-    xb = np.minimum(x[big], 200.0)
-    rt = np.sqrt(xb)
-    zeta = xb * rt * (2.0 / 3.0)
-    ai[big] = rt * (_sp.kv(1.0 / 3.0, zeta) * _AIRY_C)
-    aip[big] = 0.0 - xb * (_sp.kv(2.0 / 3.0, zeta) * _AIRY_C)
-    return ai[()], aip[()]
+    return tuple(_airy(x, True))
+
+
+def airy_ai(x):
+    """Ai alone, bit for bit ``airy(x)[0]``; above 10 it skips the K_{2/3} call."""
+    return _airy(x, False)[0]
 
 
 def bessel_jv(nu, x):

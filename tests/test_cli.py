@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from rmedge import acceptance
+from rmedge import acceptance, ensembles
 from rmedge.cli import main
 
 
@@ -368,6 +368,20 @@ class TestRunner:
         assert code == 1
         assert "error [ValueError]: alpha must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("det", "--kernel", "airy-symbol", "--interval", "0", "inf", "--shift", "-inf"),
+        ("det", "--kernel", "airy-symbol", "--interval", "0", "inf", "--shift", "nan"),
+        ("sample", "--n", "20", "--samples", "5", "--alpha", "inf"),
+    ], ids=["det-minus-inf", "det-nan", "sample-inf"])
+    def test_non_finite_shift_writes_nothing(self, tmp_path, capsys, monkeypatch, argv):
+        # sample refuses its predictor's shift before drawing
+        draws = []
+        monkeypatch.setattr(ensembles, "soft_edge_gap_counts", lambda *a, **k: draws.append(a))
+        code = run(tmp_path, *argv)
+        assert code == 1
+        assert "error [ValueError]: shift must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir()) and not draws
 
     @pytest.mark.parametrize("argv, message", [
         (("--index", "1", "--n", "4"), "needs n >= 5 nodes"),

@@ -136,6 +136,27 @@ def test_airy_kernel_matrix_is_pinned():
     assert np.array_equal(kernel_matrix(airy_kernel(), _AIRY_NODES), want)
 
 
+# Upper triangle of the Airy-symbol matrix Ai(-2 + x + y) on these nodes, bit for
+# bit, as scipy.special.airy and K_{1/3}, K_{2/3} gave it; the arguments run from
+# -1 to 16 and meet the switch at 10 exactly (6 + 6 and 3 + 9).
+_SYMBOL_NODES = np.array([0.5, 3.0, 6.0, 6.05, 9.0])
+_SYMBOL_PINNED = [
+    '0x1.1235093d83da6p-1', '0x1.25e2ccf277db8p-4', '0x1.5a4ae56c7e078p-12',
+    '0x1.368aa86b80481p-12', '0x1.9bba4458fb5a2p-23', '0x1.f2e4bcf7c4975p-11',
+    '0x1.923b08f805991p-21', '0x1.5fb32987ec937p-21', '0x1.e5e028a1f8cc1p-34',
+    '0x1.e5e028a1f8cc1p-34', '0x1.9e3a82989e606p-34', '0x1.1eeacde5a022ep-48',
+    '0x1.610268b270a3ep-34', '0x1.dea31ad04fe40p-49', '0x1.889b6799d2c8cp-65',
+]
+
+
+def test_airy_symbol_matrix_is_pinned():
+    i, j = np.triu_indices(_SYMBOL_NODES.size)
+    want = np.empty((_SYMBOL_NODES.size,) * 2)
+    want[i, j] = want[j, i] = [float.fromhex(v) for v in _SYMBOL_PINNED]
+    got = kernel_matrix(airy_symbol_kernel(shift=-2.0), _SYMBOL_NODES)
+    assert np.array_equal(got, want)
+
+
 # Upper triangle of the sine kernel matrix (t = 1) on these nodes, bit for bit,
 # as the elementwise assembly from meshgrids gave it; the pair 0.2, 0.2 + 3e-7
 # takes the diagonal value.

@@ -6,7 +6,7 @@ import pytest
 from rmedge import kernels, painleve, specfun
 from rmedge.errors import NearSingularError
 from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
-from rmedge.specfun import airy, gauss_legendre
+from rmedge.specfun import airy, airy_ai, gauss_legendre
 
 
 class TestSolvePii:
@@ -134,17 +134,48 @@ class TestTwCdf:
             assert np.abs(got / np.array(want) - 1.0).max() < 1e-13
 
     def test_determinant_route_evaluates_each_airy_point_once(self, monkeypatch):
-        # n(n+1)/2 node sums per grid point, plus the 8-point trace-tail probe
-        points = []
+        # n(n+1)/2 node sums per grid point, plus the 8-point trace-tail probe;
+        # the symbol reads Ai alone, so none of them goes through the (Ai, Ai') pair
+        points, pair_points = [], []
 
         def counted(x):
             points.append(np.size(x))
+            return airy_ai(x)
+
+        def counted_pair(x):
+            pair_points.append(np.size(x))
             return airy(x)
 
-        monkeypatch.setattr(kernels, "airy", counted)
+        monkeypatch.setattr(kernels, "airy_ai", counted)
+        monkeypatch.setattr(kernels, "airy", counted_pair)
         n, xs = 100, np.array([-2.0, 0.0, 1.5])
         tw_cdf_det(1.0, xs, n=n)
         assert sum(points) == xs.size * (n * (n + 1) // 2 + 8)
+        assert sum(pair_points) == 0
+
+    def test_determinant_route_reads_only_k_one_third_above_ten(self, monkeypatch):
+        # above x = 10, Ai alone is sqrt(x) K_{1/3}(zeta) c: one K_{1/3} per point
+        # and no K_{2/3}, which only Ai' needs
+        calls = []
+        kv = specfun._sp.kv
+
+        def recorded(nu, z):
+            calls.append((nu, np.size(z)))
+            return kv(nu, z)
+
+        monkeypatch.setattr(specfun._sp, "kv", recorded)
+        xs, n = [-5.0, 2.0], 100
+        tw_cdf_det(1.0, xs, n=n)
+        i, j = np.triu_indices(n)
+        above = 0
+        for x in xs:
+            hi = max(14.0, 8.0 - x)
+            nodes = gauss_legendre(n, 0.0, hi).nodes
+            probe = gauss_legendre(8, hi, hi + 6.0).nodes
+            above += np.count_nonzero(x + (nodes[i] + nodes[j]) > 10.0)
+            above += np.count_nonzero(x + (probe + probe) > 10.0)
+        assert calls and all(nu == 1.0 / 3.0 for nu, _ in calls)
+        assert sum(size for _, size in calls) == above
 
     def test_determinant_route_sends_nothing_above_ten_to_scipy_airy(self, monkeypatch):
         # above x = 10 specfun.airy reads K_{1/3}, K_{2/3} and never computes Bi

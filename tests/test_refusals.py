@@ -41,6 +41,12 @@ REFUSALS = {
     "sine-t0": (lambda: kernels.sine_kernel(0), "needs t > 0"),
     "sine-circle-fractional-n": (lambda: kernels.sine_circle_kernel(2.5), "positive integer"),
     "tw-cdf-det-t-above-1": (lambda: painleve.tw_cdf_det(1.5, [0.0]), "t must lie in (0, 1]"),
+    "airy-symbol-shift-minus-inf": (lambda: kernels.airy_symbol_kernel(-np.inf),
+                                    "shift must be finite"),
+    "airy-symbol-shift-inf": (lambda: kernels.airy_symbol_kernel(np.inf),
+                              "shift must be finite"),
+    "airy-symbol-shift-nan": (lambda: kernels.airy_symbol_kernel(np.nan),
+                              "shift must be finite"),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from rmedge import specfun
-from rmedge.specfun import (QuadRule, airy, bessel_j, bessel_jv, gauss_legendre,
+from rmedge.specfun import (QuadRule, airy, airy_ai, bessel_j, bessel_jv, gauss_legendre,
                             log_gamma_complex, periodic_rule,
                             unimodular_gamma_ratio)
 
@@ -206,6 +206,28 @@ class TestAiryAboveTen:
                          (np.linspace(5.0, 15.0, 8).reshape(2, 2, 2), (2, 2, 2))):
             ai, aip = airy(x)
             assert ai.shape == aip.shape == shape
+
+
+class TestAiryAi:
+    """airy_ai is airy(x)[0] bit for bit, without the K_{2/3} call above 10."""
+
+    def test_bit_identical_to_the_pair_on_a_grid(self):
+        x = np.concatenate([np.linspace(-30.0, 250.0, 5601),
+                            [10.0, np.nextafter(10.0, np.inf), 104.0, 200.0]])
+        got, want = airy_ai(x), airy(x)[0]
+        assert type(got) is type(want) and got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("x", [-3.5, 10.0, 12.0, 150.0])
+    def test_scalar_bit_identical_to_the_pair(self, x):
+        got, want = airy_ai(x), airy(x)[0]
+        assert type(got) is type(want) is np.float64
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+    def test_nonfinite_rejected(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            airy_ai(x)
 
 
 class TestBesselJ:
