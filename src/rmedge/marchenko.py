@@ -5,18 +5,20 @@ equation
 
     K(x, z) - kappa^2 int_x^inf K(x, y) W(y, z) dy = kappa W(x, z)
 
-has a unique solution when kappa^2 int_0^inf u A(u)^2 du < 1, and its
-diagonal gives d/dx log det(I - kappa^2 P_(x,inf) W P_(x,inf)) = kappa K(x,x).
-Two routes are provided: a direct Nystrom resolvent solve, and the
-Hilbert-Schmidt eigen-expansion of the Hankel operator.
+has a unique solution when kappa^2 ||G_x||_HS^2 = kappa^2 int_0^inf u A(x+u)^2 du
+< 1, where G_x is the Hankel operator A(x+s+t) on (0, inf) and W = G_x^2 there.
+One solve gives K(x, x+.) = kappa G_x (I - kappa^2 G_x^2)^{-1} A(x+.) and its
+diagonal d/dx log det(I - kappa^2 P_(x,inf) W P_(x,inf)) = kappa K(x,x); the
+Hilbert-Schmidt eigen-expansion is the independent second route to K(x, x).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractionError
-from .kernels import hankel_square_grid, hankel_symbol_kernel, kernel_matrix
+from .kernels import hankel_symbol_kernel, kernel_matrix
 from .linop import checked_log_det, discretize, nystrom, sym_eigen
 from .specfun import gauss_legendre
 
@@ -24,7 +26,6 @@ __all__ = [
     "MarchenkoSolution",
     "symbol_weighted_norm",
     "solve_marchenko",
-    "resolvent_series_values",
     "marchenko_diag",
     "log_det_tail",
     "verify_logdet_slope",
@@ -51,13 +52,19 @@ def symbol_weighted_norm(spec, n=400):
     return float(np.dot(rule.weights, rule.nodes * a * a))
 
 
-def _check_contraction(spec, kappa):
-    norm = symbol_weighted_norm(spec)
+def _check_contraction(spec, kappa, x):
+    """Refuse unless kappa^2 ||G_x||_HS^2 < 1; the norm falls as x grows, so the
+    symbol's weighted norm bounds it for x >= 0 and its shift by x below 0."""
+    for name, value in (("kappa", kappa), ("x", x)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name} = {value}")
+    shift = min(float(x), 0.0)
+    norm = symbol_weighted_norm(hankel_symbol_kernel(
+        lambda s: spec.symbol(shift + s), spec.tail_length - shift))
     if kappa * kappa * norm >= 1.0:
         raise ContractionError(
-            f"kappa^2 * int u A^2 = {kappa * kappa * norm:.6g} >= 1; "
+            f"kappa^2 * int u A(min(x, 0) + u)^2 du = {kappa * kappa * norm:.6g} >= 1; "
             "the resolvent equation is not a contraction")
-    return norm
 
 
 def _shifted_hankel(spec, x, n):
@@ -66,47 +73,29 @@ def _shifted_hankel(spec, x, n):
     return discretize(shifted, (0.0, np.inf), n)
 
 
-def solve_marchenko(spec, kappa, x, n=160):
-    """Solve the resolvent equation for K(x, .) on a grid covering (x, x+L)."""
-    _check_contraction(spec, kappa)
-    L = float(spec.tail_length)
-    rule = gauss_legendre(n, x, x + L)
-    y = rule.nodes
-    W = hankel_square_grid(spec, y, y)
-    wx = hankel_square_grid(spec, np.array([x]), y)[0]
-    A_sys = np.eye(n) - kappa * kappa * W * rule.weights[None, :]
-    k = np.linalg.solve(A_sys, kappa * wx)
-    return MarchenkoSolution(kappa=float(kappa), x=float(x), z_grid=y,
-                             K_values=k, K_diag=marchenko_diag(spec, kappa, x, n),
-                             route="resolvent", symbol_tag=spec.tag)
-
-
-def resolvent_series_values(spec, kappa, x, z, n=160):
-    """K by the resolvent formula kappa W + kappa^3 W (I - kappa^2 PWP)^{-1} W."""
-    _check_contraction(spec, kappa)
-    L = float(spec.tail_length)
-    rule = gauss_legendre(n, x, x + L)
-    y = rule.nodes
-    Wsym = nystrom(rule, hankel_square_grid(spec, y, y)).matrix
-    sw = np.sqrt(rule.weights)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    wxz = hankel_square_grid(spec, np.array([x]), z)[0]
-    wxy = hankel_square_grid(spec, np.array([x]), y)[0] * sw
-    wyz = sw[:, None] * hankel_square_grid(spec, y, z)
-    middle = np.linalg.solve(np.eye(n) - kappa * kappa * Wsym, wyz)
-    return kappa * wxz + kappa ** 3 * (wxy @ middle)
-
-
-def marchenko_diag(spec, kappa, x, n=160):
-    """K(x, x) through the inner-product form with the shifted Hankel operator.
-
-    kappa K(x,x) = kappa^2 < (I - kappa^2 G_x^2)^{-1} A(x+.), A(x+.) >, which
-    is better conditioned on the diagonal than interpolating K(x, .).
-    """
-    _check_contraction(spec, kappa)
+def _resolvent(spec, kappa, x, n):
+    """G_x discretized as op, a = sqrt(w) A(x + s) and sol = (I - kappa^2 G_x^2)^{-1} a,
+    all in symmetrized Nystrom coordinates on the nodes s of op.rule."""
+    _check_contraction(spec, kappa, x)
     op = _shifted_hankel(spec, x, n)
     a = np.sqrt(op.rule.weights) * spec.symbol(x + op.rule.nodes)
     sol = np.linalg.solve(np.eye(n) - kappa * kappa * (op.matrix @ op.matrix), a)
+    return op, a, sol
+
+
+def solve_marchenko(spec, kappa, x, n=160):
+    """K(x, z) on the grid z = x + s of G_x's rule, covering (x, x+L), and K(x, x)."""
+    op, a, sol = _resolvent(spec, kappa, x, n)
+    values = kappa * (op.matrix @ sol) / np.sqrt(op.rule.weights)
+    return MarchenkoSolution(kappa=float(kappa), x=float(x), z_grid=x + op.rule.nodes,
+                             K_values=values, K_diag=float(kappa * (a @ sol)),
+                             route="resolvent", symbol_tag=spec.tag)
+
+
+def marchenko_diag(spec, kappa, x, n=160):
+    """K(x, x) = kappa < (I - kappa^2 G_x^2)^{-1} A(x+.), A(x+.) >, which is better
+    conditioned on the diagonal than interpolating K(x, .)."""
+    _, a, sol = _resolvent(spec, kappa, x, n)
     return float(kappa * (a @ sol))
 
 
@@ -119,8 +108,9 @@ def log_det_tail(spec, kappa, x, n=160):
     return logabs
 
 
-def verify_logdet_slope(spec, kappa, x, h=1e-3, n=160):
-    """Centered difference of the log-determinant against kappa K(x, x)."""
+def verify_logdet_slope(spec, kappa, x, n=160):
+    """Centered difference (step 1e-3) of the log-determinant against kappa K(x, x)."""
+    h = 1e-3
     lhs = (log_det_tail(spec, kappa, x + h, n)
            - log_det_tail(spec, kappa, x - h, n)) / (2.0 * h)
     rhs = kappa * marchenko_diag(spec, kappa, x, n)
@@ -129,7 +119,7 @@ def verify_logdet_slope(spec, kappa, x, h=1e-3, n=160):
 
 def _split_rule(x, L, n):
     """Composite GL rule on (0, x) u (x, x+L) so tail integrals are exact sums."""
-    if x <= 0.0:
+    if x == 0.0:
         return gauss_legendre(n, 0.0, L), 0
     n_left = max(8, int(n * x / (x + L)))
     n_right = max(8, n - n_left)
@@ -146,8 +136,10 @@ def hs_expansion(spec, x, m, n=240):
 
     Returns (gammas, Phi(x)) where A(s+t) = sum_j gamma_j phi_j(s) phi_j(t)
     and Phi(x)_jk = gamma_j gamma_k int_x^inf phi_j phi_k.  The quadrature splits
-    at x so the tail Gram matrix is an exact node subset.
+    at x so the tail Gram matrix is an exact node subset; it needs x >= 0.
     """
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"the expansion needs a finite x >= 0, got x = {x}")
     L = float(spec.tail_length)
     rule, n_left = _split_rule(x, L, n)
     if m > len(rule):
@@ -162,7 +154,7 @@ def hs_expansion(spec, x, m, n=240):
 
 def diag_from_expansion(spec, kappa, x, m=24, n=240):
     """K(x, x) through the eigen-expansion route (series solution of the kernel)."""
-    _check_contraction(spec, kappa)
+    _check_contraction(spec, kappa, x)
     gammas, Phi, (rule, phis) = hs_expansion(spec, x, m, n)
     # Nystrom natural interpolation of the eigenfunctions at the point x
     keep = np.abs(gammas) > 1e-8 * np.abs(gammas[0])

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,9 +11,8 @@ from rmedge.errors import ContractionError, NearSingularError
 from rmedge.kernels import (airy_symbol_kernel, hankel_square_grid,
                             hankel_symbol_kernel)
 from rmedge.marchenko import (diag_from_expansion, hs_expansion, log_det_tail,
-                              marchenko_diag, resolvent_series_values,
-                              solve_marchenko, symbol_weighted_norm,
-                              verify_logdet_slope)
+                              marchenko_diag, solve_marchenko,
+                              symbol_weighted_norm, verify_logdet_slope)
 from rmedge.specfun import airy, gauss_legendre
 
 
@@ -36,13 +39,6 @@ class TestRankOneOracle:
         sol = solve_marchenko(exp_symbol(), 0.0, 1.0, n=40)
         assert np.abs(sol.K_values).max() == 0.0
         assert sol.K_diag == 0.0
-
-    def test_resolvent_series_route(self):
-        kappa, x = 0.5, 1.0
-        sol = solve_marchenko(exp_symbol(), kappa, x, n=120)
-        series = resolvent_series_values(exp_symbol(), kappa, x,
-                                         sol.z_grid[:10], n=120)
-        assert np.abs(series - sol.K_values[:10]).max() < 1e-8
 
     def test_logdet_slope_analytic(self):
         kappa, x = 0.5, 1.0
@@ -117,10 +113,45 @@ def test_contraction_violation_detected():
         solve_marchenko(exp_symbol(scale=3.0), 0.8, 0.5)
 
 
-def test_resolvent_series_refuses_the_same_non_contraction():
-    # this returned K = (2.816, 1.708) at z = (0.5, 1) without the check
+def test_contraction_guard_reads_the_norm_of_the_shifted_operator():
+    # ||G_x||_HS^2 = e^{-2x}/4 grows below x = 0: at x = -0.2 kappa gamma = 1.16,
+    # and the x = 0 norm let this through as K(x, x) = -4.0917
     with pytest.raises(ContractionError):
-        resolvent_series_values(exp_symbol(scale=3.0), 0.8, 0.5, [0.5, 1.0])
+        marchenko_diag(exp_symbol(), 1.9, -0.2)
+
+
+def test_expansion_refuses_a_negative_x():
+    # the split rule read x < 0 as x = 0: 0.4431 against marchenko_diag's 0.7747
+    # at x = -2, and 0.14278 against 0.14937 at x = -0.5
+    with pytest.raises(ValueError, match="x >= 0"):
+        hs_expansion(airy_symbol_kernel(), -2.0, 24)
+    with pytest.raises(ValueError, match="x >= 0"):
+        diag_from_expansion(airy_symbol_kernel(), 0.9, -0.5)
+
+
+# (kappa, x) -> (marchenko_diag, verify_logdet_slope's lhs, rhs, gap) as float.hex,
+# taken from the three-solve code that sharing one G_x solve replaced
+AIRY_PINS = {
+    (0.5, 0.0): ("0x1.147c413e68134p-5", "0x1.147c49d09c3cdp-6",
+                 "0x1.147c413e68134p-6", "0x1.1246853200000p-27"),
+    (0.5, 1.0): ("0x1.cc9a607abe606p-9", "0x1.cc9a7f64a932ap-10",
+                 "0x1.cc9a607abe606p-10", "0x1.ee9ead2400000p-30"),
+    (0.9, 0.0): ("0x1.fa5ffb47d9280p-5", "0x1.c7bcd7c8ebde0p-5",
+                 "0x1.c7bcc88d76a40p-5", "0x1.e76ea74000000p-26"),
+    (0.9, 1.0): ("0x1.9f1f315d5f645p-8", "0x1.759c2c076ffaep-8",
+                 "0x1.759c12d4090d8p-8", "0x1.93366ed600000p-28"),
+}
+EXP_PIN = ("0x1.1787f39d8a7ccp-5", "0x1.17880024834fep-6",
+           "0x1.1787f39d8a7ccp-6", "0x1.90df1a6400000p-27")
+
+
+@pytest.mark.parametrize("spec, kappa, x, pin", [
+    *[(airy_symbol_kernel(), k, x, pin) for (k, x), pin in AIRY_PINS.items()],
+    (exp_symbol(), 0.5, 1.0, EXP_PIN)], ids=[*map(str, AIRY_PINS), "exp"])
+def test_diagonal_and_slope_keep_their_bits(spec, kappa, x, pin):
+    got = (marchenko_diag(spec, kappa, x), *verify_logdet_slope(spec, kappa, x))
+    assert tuple(v.hex() for v in got) == pin
+    assert solve_marchenko(spec, kappa, x).K_diag == got[0]
 
 
 def test_log_det_tail_refuses_a_negative_determinant():
@@ -146,3 +177,14 @@ def test_determinant_is_polynomial_in_coupling_squared():
     coef = np.polynomial.polynomial.polyfit(k2, vals, 8)
     fit = np.polynomial.polynomial.polyval(k2, coef)
     assert np.abs(fit - vals).max() < 1e-8
+
+
+def test_factorization_demo_runs():
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, str(repo / "demos" / "demo_hankel_factorization.py")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "kappa K(x, x)" in done.stdout

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from rmedge import ensembles, hardedge, hill, kernels, linop, painleve, specfun, twfactor
+from rmedge import (ensembles, hardedge, hill, kernels, linop, marchenko, painleve, specfun,
+                    twfactor)
 
 
 def _op(matrix):
@@ -47,6 +48,25 @@ REFUSALS = {
                               "shift must be finite"),
     "airy-symbol-shift-nan": (lambda: kernels.airy_symbol_kernel(np.nan),
                               "shift must be finite"),
+    # the contraction test kappa^2 norm >= 1 is False for NaN, so these returned NaN
+    "marchenko-diag-kappa-nan": (
+        lambda: marchenko.marchenko_diag(kernels.airy_symbol_kernel(), np.nan, 0.0),
+        "kappa must be finite"),
+    "marchenko-diag-x-nan": (
+        lambda: marchenko.marchenko_diag(kernels.airy_symbol_kernel(), 0.5, np.nan),
+        "x must be finite"),
+    "solve-marchenko-kappa-inf": (
+        lambda: marchenko.solve_marchenko(kernels.airy_symbol_kernel(), np.inf, 0.0),
+        "kappa must be finite"),
+    "solve-marchenko-x-minus-inf": (
+        lambda: marchenko.solve_marchenko(kernels.airy_symbol_kernel(), 0.5, -np.inf),
+        "x must be finite"),
+    "diag-from-expansion-x-nan": (
+        lambda: marchenko.diag_from_expansion(kernels.airy_symbol_kernel(), 0.5, np.nan),
+        "x must be finite"),
+    "diag-from-expansion-kappa-nan": (
+        lambda: marchenko.diag_from_expansion(kernels.airy_symbol_kernel(), np.nan, 0.0),
+        "kappa must be finite"),
 }
 
 
