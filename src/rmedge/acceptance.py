@@ -42,8 +42,8 @@ def _soft_edge_det_identity():
                                       (0.0, math.inf), 80))
         for z in (0.5, 1.0):
             lhs = fredholm_det(op_kernel, z)
-            sign, logabs = checked_log_det(hankel, z, squared=True)
-            rhs = sign * math.exp(logabs)
+            ld = checked_log_det(hankel, z, squared=True)
+            rhs = ld.sign * math.exp(ld.log_abs)
             worst = max(worst, abs(lhs - rhs))
     return worst < 1e-8, f"max |lhs - rhs| {worst:.3e} over alpha in {{0,1}}, z in {{0.5,1}} (tol 1e-8)"
 

@@ -102,8 +102,9 @@ def _cmd_tw(args, out):
     cache = _tw_cache_path(args)
     if cache and os.path.exists(cache):
         shutil.copyfile(cache, out)
+        # this run computed no determinant, so it knows no node counts
         return (f"cached Tracy-Widom table -> {out}",
-                {"outputs": [out, cache], "cache": "hit"})
+                {"outputs": [out, cache], "cache": "hit", "det_nodes": None})
     xs = np.round(np.arange(args.xmin, args.xmax + args.step / 2, args.step), 12)
     painleve_curve = painleve.tw_cdf(args.t, xs)
     det_curve = painleve.tw_cdf_det(args.t, xs, n=args.n)
@@ -111,13 +112,13 @@ def _cmd_tw(args, out):
             zip(xs, painleve_curve.F_values, det_curve.F_values,
                 painleve_curve.w_values)]
     _write_csv(out, ["x", "F_painleve", "F_det", "gap", "w"], rows)
-    extra = {"cache": "off"}
+    extra = {"cache": "off", "det_nodes": det_curve.nodes.tolist()}
     if cache:
         # a reader never sees a partly written table
         tmp = f"{cache}.{os.getpid()}.tmp"
         shutil.copyfile(out, tmp)
         os.replace(tmp, cache)
-        extra = {"outputs": [out, cache], "cache": "miss"}
+        extra.update(outputs=[out, cache], cache="miss")
     return f"Tracy-Widom table (t={args.t:g}, {xs.size} points) -> {out}", extra
 
 
@@ -230,7 +231,9 @@ def _build_parser():
     sp.add_argument("--xmin", type=float, default=-5.0)
     sp.add_argument("--xmax", type=float, default=2.0)
     sp.add_argument("--step", type=float, default=0.1)
-    sp.add_argument("--n", type=int, default=100, help="determinant-route nodes")
+    sp.add_argument("--n", type=int, default=None,
+                    help="determinant-route nodes at every shift (default: chosen per "
+                         "shift by refinement, rungs 32, 48, ... up to 400)")
     sp.set_defaults(func=_cmd_tw)
 
     sp = sub.add_parser("hardedge", help="hard-edge determinant identity (JSON)")

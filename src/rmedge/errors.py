@@ -41,5 +41,6 @@ class WrongPeriodError(RmedgeError):
 
 
 class ResolutionError(RmedgeError):
-    """A computed spectrum fails its independent certificate at the required
-    accuracy (for Hill's equation, | |Delta(lambda)| - 2 | at an eigenvalue)."""
+    """A computed result fails its independent certificate at the required
+    accuracy (for Hill's equation, | |Delta(lambda)| - 2 | at an eigenvalue; for
+    a refined determinant, no two rungs that agree below the node cap)."""

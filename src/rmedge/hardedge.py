@@ -176,8 +176,8 @@ def bessel_det_identity(cfg, z, n=80):
                                   (0.0, math.sqrt(cfg.a)), n), z)
     sym = bessel_log_symbol_kernel(cfg.nu, ell=cfg.alpha)
     hankel = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120)))
-    sign, logabs = checked_log_det(hankel, z, squared=True)
-    rhs = sign * math.exp(logabs)
+    ld = checked_log_det(hankel, z, squared=True)
+    rhs = ld.sign * math.exp(ld.log_abs)
     return lhs, rhs, abs(lhs - rhs)
 
 

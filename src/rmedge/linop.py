@@ -4,9 +4,11 @@ This module owns the Nystrom convention and the determinant: an operator is
 the symmetrized matrix M_ij = sqrt(w_i) K(x_i, x_j) sqrt(w_j) (:func:`nystrom`),
 whose eigenvectors map back to eigenfunctions at the nodes
 (:meth:`DiscretizedOp.eigenpairs`) and whose spectrum gives det(I - z K) in
-the log domain (:func:`log_det`).  Semi-infinite intervals are truncated
-using the kernel's registered tail length, with a built-in check that the
-dropped tail is negligible for the trace.
+the log domain (:func:`log_det`), with its rounding bound (:class:`LogDet`).
+:func:`refined_log_det` picks the node count from two rungs of a geometric
+ladder.  Semi-infinite intervals are truncated using the kernel's registered
+tail length, with a built-in check that the dropped tail is negligible for
+the trace.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearSingularError, TruncationError
+from .errors import NearSingularError, ResolutionError, TruncationError
 from .kernels import kernel_eval, kernel_matrix
 from .specfun import QuadRule, gauss_legendre
 
@@ -22,12 +24,14 @@ __all__ = [
     "DiscretizedOp",
     "Spectrum",
     "GapDistribution",
+    "LogDet",
     "nystrom",
     "discretize",
     "operator_square",
     "sym_eigen",
     "log_det",
     "checked_log_det",
+    "refined_log_det",
     "fredholm_det",
     "gap_probs",
 ]
@@ -65,6 +69,16 @@ class GapDistribution:
     probs: np.ndarray  # E(0), ..., E(kmax)
     z_reference: float
     interval: tuple
+
+
+@dataclass(frozen=True)
+class LogDet:
+    """log|det(I - z K)| from a computed spectrum, and how far to trust it."""
+    sign: float
+    log_abs: float
+    closest: float  # min |1 - z lam|
+    weyl: float  # n eps |z| max|lam|: a factor at or below it has no sign
+    bound: float  # first-order rounding bound on log_abs
 
 
 def _truncate(spec, lo, hi):
@@ -129,24 +143,57 @@ def log_det(eigenvalues, z):
 
 def checked_log_det(spectrum, z, squared=False):
     """:func:`log_det` of det(I - z K), or of det(I - z K^2) if ``squared``, from a
-    computed spectrum of K.  Its eigenvalues are known to about n eps max|lam| (Weyl),
-    so a factor with |1 - z lam| <= n eps |z| max|lam| has no sign: NearSingularError."""
+    computed spectrum of K, as a :class:`LogDet`.  Its eigenvalues mu are known to
+    about n eps max|mu| (Weyl), so a factor with |1 - z lam| <= n eps |z| max|lam|
+    has no sign: NearSingularError.  Above that level each factor moves log|det| by
+    at most n eps max|mu| |z| |d lam / d mu| / |1 - z lam| to first order."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got z = {z}")
-    lam, tag = spectrum.eigenvalues, spectrum.kernel_tag
+    mu, tag = spectrum.eigenvalues, spectrum.kernel_tag
+    lam, slope = mu, 1.0
     if squared:
-        lam, tag = lam * lam, f"({tag})^2"
+        lam, slope, tag = mu * mu, 2.0 * np.abs(mu), f"({tag})^2"
+    eps_n = lam.size * np.finfo(float).eps
     closest = float(np.min(np.abs(1.0 - z * lam)))
-    if closest <= lam.size * np.finfo(float).eps * abs(z) * np.max(np.abs(lam)):
+    weyl = float(eps_n * abs(z) * np.max(np.abs(lam)))
+    if closest <= weyl:
         raise NearSingularError(f"min |1 - z lam| = {closest:.3g} of {tag} at "
                                 f"z = {z:g} is below the eigenvalue rounding level")
-    return log_det(lam, z)
+    bound = eps_n * np.max(np.abs(mu)) * np.sum(abs(z) * slope / np.abs(1.0 - z * lam))
+    return LogDet(*log_det(lam, z), closest=closest, weyl=weyl, bound=float(bound))
 
 
 def fredholm_det(op, z):
     """det(I - z K) from the discretized spectrum, through :func:`checked_log_det`."""
-    sign, logabs = checked_log_det(sym_eigen(op), z)
-    return sign * math.exp(logabs)
+    ld = checked_log_det(sym_eigen(op), z)
+    return ld.sign * math.exp(ld.log_abs)
+
+
+_FIRST_RUNG = 32
+_MAX_NODES = 400
+
+
+def refined_log_det(spec, interval, z, squared=False):
+    """:func:`checked_log_det` at the node count its own refinement picks: (n, LogDet).
+
+    Discretizes at rungs n and ceil(1.5 n) from n = 32, and keeps the finer rung
+    once both have the same sign and their log|det| differ by at most
+    max(1e-12 max(1, |L|), the sum of their rounding bounds).  Gauss-Legendre
+    Nystrom error falls exponentially for analytic kernels (Bornemann 2010), so
+    two rungs bound it; a rung past 400 nodes raises ResolutionError.
+    """
+    n = _FIRST_RUNG
+    coarse = checked_log_det(sym_eigen(discretize(spec, interval, n)), z, squared)
+    while (fine_n := math.ceil(1.5 * n)) <= _MAX_NODES:
+        fine = checked_log_det(sym_eigen(discretize(spec, interval, fine_n)), z, squared)
+        step = abs(fine.log_abs - coarse.log_abs)
+        if fine.sign == coarse.sign and step <= max(
+                1e-12 * max(1.0, abs(fine.log_abs)), coarse.bound + fine.bound):
+            return fine_n, fine
+        n, coarse = fine_n, fine
+    raise ResolutionError(
+        f"log det of {spec.tag} at z = {z:g} has not settled at {n} nodes; the "
+        f"next rung, {fine_n}, passes the cap of {_MAX_NODES}")
 
 
 def gap_probs(op, kmax):

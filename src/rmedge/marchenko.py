@@ -68,8 +68,10 @@ def _check_contraction(spec, kappa, x):
 
 
 def _shifted_hankel(spec, x, n):
-    """The Hankel operator with kernel A(x+s+t) on (0, inf), cut by linop's tail check."""
-    shifted = hankel_symbol_kernel(lambda s: spec.symbol(x + s), spec.tail_length)
+    """The Hankel operator with kernel A(x+s+t) on (0, inf), cut where its argument
+    reaches the symbol's tail length (as in _check_contraction) by linop's tail check."""
+    shifted = hankel_symbol_kernel(lambda s: spec.symbol(x + s),
+                                   spec.tail_length - min(x, 0.0))
     return discretize(shifted, (0.0, np.inf), n)
 
 
@@ -102,10 +104,10 @@ def marchenko_diag(spec, kappa, x, n=160):
 def log_det_tail(spec, kappa, x, n=160):
     """log det(I - kappa^2 P_(x,inf) W P_(x,inf)) via the Hankel spectrum."""
     hankel = sym_eigen(_shifted_hankel(spec, x, n))
-    sign, logabs = checked_log_det(hankel, kappa * kappa, squared=True)
-    if sign <= 0:
+    ld = checked_log_det(hankel, kappa * kappa, squared=True)
+    if ld.sign <= 0:
         raise ContractionError(f"det(I - kappa^2 W) <= 0 at kappa = {kappa:g}")
-    return logabs
+    return ld.log_abs
 
 
 def verify_logdet_slope(spec, kappa, x, n=160):

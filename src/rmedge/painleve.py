@@ -23,7 +23,7 @@ import numpy as np
 from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
-from .linop import checked_log_det, discretize, sym_eigen
+from .linop import checked_log_det, discretize, refined_log_det, sym_eigen
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -38,6 +38,7 @@ class TWCurve:
     F_values: np.ndarray
     w_values: Optional[np.ndarray]
     route: str
+    nodes: Optional[np.ndarray] = None  # determinant route: the n used at each shift
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,19 @@ def tw_cdf(t, xs):
 
 
 def tw_cdf_det(t, xs, n=100):
-    """F(x; t) = det(I - t Gamma_(x)^2) from the Airy Hankel spectrum."""
+    """F(x; t) = det(I - t Gamma_(x)^2) from the Airy Hankel spectrum at n nodes, or,
+    with n=None, at the node count :func:`linop.refined_log_det` picks per shift."""
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     xs = np.asarray(xs, dtype=float)
-    F = np.empty_like(xs)
+    F, nodes = np.empty_like(xs), np.empty(xs.shape, dtype=int)
     for i, x in enumerate(xs):
-        op = discretize(airy_symbol_kernel(shift=float(x)), (0.0, np.inf), n)
-        sign, logabs = checked_log_det(sym_eigen(op), t, squared=True)
-        F[i] = sign * math.exp(logabs)
-    return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant")
+        spec = airy_symbol_kernel(shift=float(x))
+        if n is None:
+            nodes[i], ld = refined_log_det(spec, (0.0, np.inf), t, squared=True)
+        else:
+            op = discretize(spec, (0.0, np.inf), n)
+            nodes[i], ld = n, checked_log_det(sym_eigen(op), t, squared=True)
+        F[i] = ld.sign * math.exp(ld.log_abs)
+    return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant",
+                   nodes=nodes)

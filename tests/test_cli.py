@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -225,6 +226,24 @@ class TestConfigAndErrors:
         assert "error [NearSingularError]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_tw_with_n_writes_the_fixed_node_table(self, tmp_path):
+        # sha256 of the table written by 0.3.0, where tw took n = 100 at every shift
+        code = run(tmp_path, "tw", "--t", "1", "--xmin", "-5", "--xmax", "2",
+                   "--step", "0.1", "--n", "100")
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "tw.csv").read_bytes()).hexdigest()
+        assert digest == "95087aa94229d89faa52f1f36f6451dcc109fc3a8e2550ac0ce2eb16a3251a11"
+        manifest = json.loads((tmp_path / "tw.csv.manifest.json").read_text())
+        assert manifest["det_nodes"] == [100] * 71
+
+    def test_tw_records_the_chosen_nodes(self, tmp_path):
+        code = run(tmp_path, "tw", "--t", "0.5", "--xmin", "-1", "--xmax", "1",
+                   "--step", "0.5")
+        assert code == 0
+        manifest = json.loads((tmp_path / "tw.csv.manifest.json").read_text())
+        assert manifest["det_nodes"] == [48] * 5
+        assert manifest["parameters"]["n"] is None
+
     def test_tw_table_past_rounding_level_exits_one(self, tmp_path, capsys):
         code = run(tmp_path, "tw", "--xmin", "-12", "--xmax", "-10", "--step", "1")
         assert code == 1
@@ -303,7 +322,7 @@ class TestRunner:
         cfg.write_text("# no presets\n")
         assert run(tmp_path, "--config", str(cfg), command, *argv) == 0
         manifest = json.loads((tmp_path / f"{default}.manifest.json").read_text())
-        extra = {"tw": {"cache"}, "sample": {"model"}}.get(command, set())
+        extra = {"tw": {"cache", "det_nodes"}, "sample": {"model"}}.get(command, set())
         assert set(manifest) == MANIFEST_KEYS | extra
         assert manifest["command"] == command
         assert manifest["outputs"] == [default]
@@ -322,6 +341,7 @@ class TestRunner:
             (table,) = cache.iterdir()
             assert manifest["cache"] == state
             assert manifest["outputs"] == ["tw.csv", str(table)]
+            assert manifest["det_nodes"] == ([40, 40] if state == "miss" else None)
 
     @pytest.mark.parametrize("kernel,interval", [
         ("sine", "1"), ("airy", "inf"), ("bessel-hard", "1"), ("airy-symbol", "inf"),

@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rmedge import hardedge, marchenko, painleve
-from rmedge.errors import NearSingularError, TruncationError
+from rmedge import hardedge, linop, marchenko, painleve
+from rmedge.errors import NearSingularError, ResolutionError, TruncationError
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_log_symbol_kernel, hankel_symbol_kernel,
-                            kernel_eval, sine_kernel)
-from rmedge.linop import (DiscretizedOp, Spectrum, checked_log_det, discretize,
+                            kernel_eval, kernel_matrix, sine_kernel)
+from rmedge.linop import (DiscretizedOp, LogDet, Spectrum, checked_log_det, discretize,
                           fredholm_det, gap_probs, log_det, nystrom, operator_square,
-                          sym_eigen)
+                          refined_log_det, sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -198,8 +199,76 @@ class TestCheckedLogDet:
         lam = np.array([0.9, 0.5, -0.25, 1e-12])
         spectrum = Spectrum(eigenvalues=lam, rule_size=4, kernel_tag="toy")
         for z in (0.5, 1.0, -2.0):
-            assert checked_log_det(spectrum, z) == log_det(lam, z)
-            assert checked_log_det(spectrum, z, squared=True) == log_det(lam * lam, z)
+            ld = checked_log_det(spectrum, z)
+            assert (ld.sign, ld.log_abs) == log_det(lam, z)
+            ld = checked_log_det(spectrum, z, squared=True)
+            assert (ld.sign, ld.log_abs) == log_det(lam * lam, z)
+
+    def test_record_fields_on_a_hand_made_spectrum(self):
+        lam = np.array([0.9, 0.5, -0.25, 1e-12])
+        spectrum = Spectrum(eigenvalues=lam, rule_size=4, kernel_tag="toy")
+        eps = np.finfo(float).eps
+        for z in (0.5, -2.0):
+            ld = checked_log_det(spectrum, z)
+            assert isinstance(ld, LogDet)
+            factors = [abs(1.0 - z * v) for v in lam]
+            assert ld.closest == min(factors)
+            assert ld.weyl == pytest.approx(4 * eps * abs(z) * 0.9, rel=1e-15, abs=0.0)
+            assert ld.bound == pytest.approx(
+                4 * eps * 0.9 * sum(abs(z) / f for f in factors), rel=1e-14, abs=0.0)
+            # det(I - z K^2): each factor 1 - z mu^2 moves by 2 |z| |mu| d mu
+            ld = checked_log_det(spectrum, z, squared=True)
+            factors = [abs(1.0 - z * v * v) for v in lam]
+            assert ld.closest == min(factors)
+            assert ld.weyl == pytest.approx(4 * eps * abs(z) * 0.81, rel=1e-15, abs=0.0)
+            assert ld.bound == pytest.approx(
+                4 * eps * 0.9 * sum(2 * abs(z) * abs(v) / f
+                                    for v, f in zip(lam, factors)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("z", [1.0, 0.5])
+    def test_refusal_sits_where_the_weyl_level_put_it(self, z, squared):
+        # factors 1 - z lam of k half-ulps of 1 around the level n eps |z| max|lam|
+        eps = np.finfo(float).eps
+        seen = set()
+        for k in range(1, 13):
+            lam = (1.0 - k * eps / 2) / z
+            mu = math.sqrt(lam) if squared else lam
+            spectrum = Spectrum(eigenvalues=np.array([mu, 0.5]), rule_size=2,
+                                kernel_tag="toy")
+            lam2 = np.array([mu, 0.5]) ** 2 if squared else np.array([mu, 0.5])
+            closest = float(np.min(np.abs(1.0 - z * lam2)))
+            refused = closest <= lam2.size * eps * abs(z) * np.max(np.abs(lam2))
+            seen.add(refused)
+            if refused:
+                with pytest.raises(NearSingularError):
+                    checked_log_det(spectrum, z, squared=squared)
+            else:
+                ld = checked_log_det(spectrum, z, squared=squared)
+                assert ld.closest == closest > ld.weyl
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("below", [1e-8, math.inf])
+    def test_bound_covers_perturbed_airy_entries(self, below):
+        # F(-4.6) from the symbol matrix with every entry below 1e-8 (or every
+        # entry) moved by 1e-14 relative, with random signs kept symmetric; the
+        # second moves log F by 2.1e-12 against a bound of 2.1e-11
+        spec = airy_symbol_kernel(shift=-4.6)
+        op = discretize(spec, (0.0, math.inf), 100)
+        K = kernel_matrix(spec, op.rule.nodes)
+        ld = checked_log_det(sym_eigen(nystrom(op.rule, K)), 1.0, squared=True)
+        rng = np.random.default_rng(46)
+        moves = []
+        for _ in range(4):
+            r = np.triu(rng.choice([-1.0, 1.0], size=K.shape))
+            r = r + np.triu(r, 1).T
+            moved = np.where(np.abs(K) < below, K * (1.0 + 1e-14 * r), K)
+            assert not np.array_equal(moved, K)
+            ld2 = checked_log_det(sym_eigen(nystrom(op.rule, moved)), 1.0, squared=True)
+            moves.append(abs(ld2.log_abs - ld.log_abs))
+        assert max(moves) <= ld.bound
+        if math.isinf(below):
+            assert max(moves) > 1e-13
 
     def test_zero_factor_raises_where_log_det_gives_minus_infinity(self):
         assert log_det([1.0, 0.5], 1.0) == (0.0, -math.inf)
@@ -208,6 +277,65 @@ class TestCheckedLogDet:
             checked_log_det(spectrum, 1.0)
         with pytest.raises(NearSingularError, match=r"of \(toy\)\^2 at z = 1"):
             checked_log_det(spectrum, 1.0, squared=True)
+
+
+class TestRefinedLogDet:
+    def test_rungs_go_through_the_module_names(self, monkeypatch):
+        # the benchmark tracer wraps linop.discretize and linop.sym_eigen where
+        # they are bound, so every rung must reach them
+        sizes = []
+        discretize_, sym_eigen_ = linop.discretize, linop.sym_eigen
+
+        def counted_discretize(spec, interval, n):
+            sizes.append(n)
+            return discretize_(spec, interval, n)
+
+        def counted_sym_eigen(op):
+            sizes.append(-len(op.rule))
+            return sym_eigen_(op)
+
+        monkeypatch.setattr(linop, "discretize", counted_discretize)
+        monkeypatch.setattr(linop, "sym_eigen", counted_sym_eigen)
+        n, ld = refined_log_det(airy_symbol_kernel(shift=-2.0), (0.0, math.inf), 1.0,
+                                squared=True)
+        assert (n, sizes) == (48, [32, -32, 48, -48])
+        op = discretize(airy_symbol_kernel(shift=-2.0), (0.0, math.inf), 48)
+        assert ld == checked_log_det(sym_eigen(op), 1.0, squared=True)
+
+    def test_keeps_the_finer_rung_of_a_settled_pair(self):
+        # sine kernel on (0, 2): rungs 32 and 48 agree far below 1e-12
+        n, ld = refined_log_det(sine_kernel(1.0), (0.0, 2.0), 1.0)
+        assert n == 48
+        assert ld == checked_log_det(sym_eigen(discretize(sine_kernel(1.0), (0.0, 2.0),
+                                                          48)), 1.0)
+
+    def test_rungs_of_opposite_sign_do_not_settle(self, monkeypatch):
+        # equal log|det| with the sign flipped at 32 nodes: 48 must meet 72
+        checked = linop.checked_log_det
+
+        def flipped(spectrum, z, squared=False):
+            ld = checked(spectrum, z, squared)
+            return replace(ld, sign=-ld.sign) if spectrum.rule_size == 32 else ld
+
+        monkeypatch.setattr(linop, "checked_log_det", flipped)
+        assert refined_log_det(sine_kernel(1.0), (0.0, 2.0), 1.0)[0] == 72
+
+    def test_walks_the_ladder_until_two_rungs_agree(self):
+        # Ai(shift + s + t) oscillates over (0, 8 - shift) at shift -30: the ladder
+        # 32, 48, 72, 108 does not resolve it and 162 agrees with 108
+        n, _ = refined_log_det(airy_symbol_kernel(shift=-30.0), (0.0, math.inf), 0.5,
+                               squared=True)
+        assert n == 162
+
+    def test_cap_raises_resolution_error(self, monkeypatch):
+        monkeypatch.setattr(linop, "_MAX_NODES", 40)
+        with pytest.raises(ResolutionError, match="next rung, 48, passes the cap of 40"):
+            refined_log_det(sine_kernel(1.0), (0.0, 2.0), 1.0)
+
+    def test_near_singular_rung_propagates(self):
+        with pytest.raises(NearSingularError, match="rounding level"):
+            refined_log_det(airy_symbol_kernel(shift=-12.0), (0.0, math.inf), 1.0,
+                            squared=True)
 
 
 def _unit_spectrum(op):

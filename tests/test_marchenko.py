@@ -130,14 +130,16 @@ def test_expansion_refuses_a_negative_x():
 
 
 # (kappa, x) -> (marchenko_diag, verify_logdet_slope's lhs, rhs, gap) as float.hex,
-# taken from the three-solve code that sharing one G_x solve replaced
+# taken from the three-solve code that sharing one G_x solve replaced.  At x = 0
+# the lhs and gap read log_det_tail at x - h < 0, where G_x is cut at L + h, not
+# at L: there they are the values of that cut (the lhs moved by under 1e-13 relative)
 AIRY_PINS = {
-    (0.5, 0.0): ("0x1.147c413e68134p-5", "0x1.147c49d09c3cdp-6",
-                 "0x1.147c413e68134p-6", "0x1.1246853200000p-27"),
+    (0.5, 0.0): ("0x1.147c413e68134p-5", "0x1.147c49d09c256p-6",
+                 "0x1.147c413e68134p-6", "0x1.1246824400000p-27"),
     (0.5, 1.0): ("0x1.cc9a607abe606p-9", "0x1.cc9a7f64a932ap-10",
                  "0x1.cc9a607abe606p-10", "0x1.ee9ead2400000p-30"),
-    (0.9, 0.0): ("0x1.fa5ffb47d9280p-5", "0x1.c7bcd7c8ebde0p-5",
-                 "0x1.c7bcc88d76a40p-5", "0x1.e76ea74000000p-26"),
+    (0.9, 0.0): ("0x1.fa5ffb47d9280p-5", "0x1.c7bcd7c8ebbecp-5",
+                 "0x1.c7bcc88d76a40p-5", "0x1.e76ea35800000p-26"),
     (0.9, 1.0): ("0x1.9f1f315d5f645p-8", "0x1.759c2c076ffaep-8",
                  "0x1.759c12d4090d8p-8", "0x1.93366ed600000p-28"),
 }
@@ -152,6 +154,15 @@ def test_diagonal_and_slope_keep_their_bits(spec, kappa, x, pin):
     got = (marchenko_diag(spec, kappa, x), *verify_logdet_slope(spec, kappa, x))
     assert tuple(v.hex() for v in got) == pin
     assert solve_marchenko(spec, kappa, x).K_diag == got[0]
+
+
+def test_shifted_operator_is_cut_where_its_argument_reaches_the_tail_length():
+    # cut at L = 14 in s, Ai(x + s + t) at x = -14 was dropped from argument 0 on:
+    # 0.112507 against the operator of the symbol shifted by -14 itself
+    want = marchenko_diag(airy_symbol_kernel(-14.0), 0.1, 0.0)
+    assert abs(marchenko_diag(airy_symbol_kernel(), 0.1, -14.0) - want) <= 1e-12 * want
+    assert abs(log_det_tail(airy_symbol_kernel(), 0.5, -6.0)
+               - log_det_tail(airy_symbol_kernel(-6.0), 0.5, 0.0)) <= 1e-12
 
 
 def test_log_det_tail_refuses_a_negative_determinant():

@@ -190,10 +190,47 @@ class TestTwCdf:
         tw_cdf_det(1.0, [-5.0, 2.0])
         assert seen and max(seen) <= 10.0
 
+    def test_fixed_n_is_recorded_at_every_shift(self):
+        assert tw_cdf_det(1.0, [-1.0, 0.0, 1.0], n=40).nodes.tolist() == [40, 40, 40]
+        assert tw_cdf(1.0, [-1.0, 0.0]).nodes is None
+
     def test_curve_routes_are_tagged(self):
         xs = np.array([-1.0, 0.0])
         assert tw_cdf(1.0, xs).route == "painleve"
         assert tw_cdf_det(1.0, xs).route == "determinant"
+
+
+README_GRID = np.round(np.arange(-5.0, 2.0 + 0.05, 0.1), 12)
+
+
+class TestChosenNodes:
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    def test_readme_grid_stops_at_48_and_matches_200_nodes(self, t):
+        got = tw_cdf_det(t, README_GRID, n=None)
+        assert got.nodes.tolist() == [48] * README_GRID.size
+        want = np.log(tw_cdf_det(t, README_GRID, n=200).F_values)
+        err = np.abs(np.log(got.F_values) - want)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_one_table_reads_the_symbol_at_two_rungs(self, monkeypatch):
+        # per shift: 32 * 33 / 2 + 48 * 49 / 2 node sums and two 8-point tail probes
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return airy_ai(x)
+
+        monkeypatch.setattr(kernels, "airy_ai", counted)
+        tw_cdf_det(1.0, README_GRID, n=None)
+        assert README_GRID.size == 71
+        assert sum(points) == 122120 == 71 * (528 + 1176 + 16)
+
+    def test_rounding_floor_stops_the_deep_left_tail(self):
+        # at t = 1, x = -10 the factors 1 - mu^2 reach ~1e-13 and log F moves by
+        # ~1e-4 from rung to rung with rounding alone: only the LogDet bounds in
+        # the stopping rule end the ladder before the cap
+        got = tw_cdf_det(1.0, [-10.0, -8.0], n=None)
+        assert got.nodes.tolist() == [72, 48]
 
 
 def test_second_derivative_identity():
