@@ -13,10 +13,11 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import TruncationError
-from .kernels import (KernelSpec, bessel_integrable_kernel, bessel_log_symbol_kernel,
+from .kernels import (KernelSpec, bessel_hard_kernel, bessel_log_symbol_kernel,
                       qbessel_kernel, symmetric_grid)
 from .linop import checked_log_det, discretize, fredholm_det, sym_eigen
-from .specfun import bessel_jv, gauss_legendre, panel_rule, unimodular_gamma_ratio
+from .specfun import (bessel_jv, gauss_legendre, gauss_legendre_sqrt, log_gamma_complex,
+                      panel_rule)
 
 __all__ = [
     "HardEdgeConfig",
@@ -82,16 +83,16 @@ def _panel_grid(y_lo, y_hi, width):
     return ys.ravel(), wt.ravel()
 
 
-def apply_g(nu, ell, f, xi_out, y_lo=1e-9, y_hi=16.0, rad_per_panel=6.0):
+def apply_g(nu, ell, f, xi_out, y_lo=1e-9, y_hi=16.0):
     """Apply the unitary involution with kernel e^{-l-x-e} J_nu(e^{-l-x-e}).
 
     Written in the substituted variable y = e^{-eta}:
 
         G f(xi) = int_0^inf c J_nu(c y) f(-log y) dy,   c = e^{-l-xi},
 
-    so the integrand oscillates at linear frequency c and panel widths can be
-    tied to it.  ``f`` must decay on both tails; (y_lo, y_hi) must cover its
-    support in the substituted variable.
+    so the integrand oscillates at linear frequency c, and a panel spans at
+    most 6 radians of it.  ``f`` must decay on both tails; (y_lo, y_hi) must
+    cover its support in the substituted variable.
     """
     xi_out = np.atleast_1d(np.asarray(xi_out, dtype=float))
     out = np.empty_like(xi_out)
@@ -101,7 +102,7 @@ def apply_g(nu, ell, f, xi_out, y_lo=1e-9, y_hi=16.0, rad_per_panel=6.0):
         groups.setdefault(int(np.ceil(np.log2(max(c, 1e-12)))), []).append(i)
     for key, idxs in groups.items():
         cmax = 2.0 ** key
-        ys, wt = _panel_grid(y_lo, y_hi, min(1.0, rad_per_panel / max(cmax, 1e-12)))
+        ys, wt = _panel_grid(y_lo, y_hi, min(1.0, 6.0 / max(cmax, 1e-12)))
         fv = np.asarray(f(-np.log(ys)), dtype=float)
         for i in idxs:
             c = math.exp(-ell - xi_out[i])
@@ -109,18 +110,19 @@ def apply_g(nu, ell, f, xi_out, y_lo=1e-9, y_hi=16.0, rad_per_panel=6.0):
     return out
 
 
-def _chirp_grid(lo, hi, cap=0.02, rate=0.12):
+def _chirp_grid(lo, hi, rate):
     # resolves the e^{-eta} phase on the left, uniform elsewhere
     pts = [lo]
     e = lo
     while e < hi:
-        e += min(cap, rate * math.exp(e))
+        e += min(0.02, rate * math.exp(e))
         pts.append(min(e, hi))
     return np.array(pts)
 
 
-def g_involution_check(nu, ell, test_functions, grid=None):
-    """Max deviation of G(G f) from f over the grid, for decaying test functions.
+def g_involution_check(nu, ell, test_functions):
+    """Max deviation of G(G f) from f on 36 points of [-2, 5], for decaying test
+    functions.
 
     The intermediate G f is tabulated on a chirp-resolving grid, interpolated
     by a cubic spline, and fed back through the involution.  Test functions
@@ -128,9 +130,7 @@ def g_involution_check(nu, ell, test_functions, grid=None):
     image is distributional are outside the admissible class.
     """
     from scipy.interpolate import CubicSpline
-    if grid is None:
-        grid = np.linspace(-2.0, 5.0, 36)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(-2.0, 5.0, 36)
     # the intermediate G f(eta) lives on the l = 0 window shifted by -l and
     # oscillates at frequency e^{-(eta + l)}
     lo, hi = -5.0 - ell, 16.0 - ell
@@ -152,28 +152,16 @@ def g_involution_check(nu, ell, test_functions, grid=None):
     return worst
 
 
-def _hard_edge_u_spec(nu):
-    """The hard-edge kernel after x = u^2, symmetrized with the 2u dy weight.
-
-    G(u, v) = sqrt(u v) (J_nu(u) v J_nu'(v) - u J_nu'(u) J_nu(v)) / (u^2 - v^2)
-    has only the benign (u v)^{nu + 1/2} endpoint factor, so Gauss-Legendre
-    Nystrom converges spectrally where the x-variable kernel would not.  It is
-    the integrable kernel A = sqrt(u) J_nu(u), B = -u^{3/2} J_{nu+1}(u), g = u^2.
-    """
-    return bessel_integrable_kernel("bessel_hard_u", {"nu": nu}, (0.0, math.inf), nu,
-                                    lambda u: u, np.sqrt, 1.0)
-
-
 def bessel_det_identity(cfg, z, n=80):
     """Two independent routes to the hard-edge determinant.
 
-    lhs: det(I - z F) with F the hard-edge kernel on (0, a), discretized in
-    the square-root variable.  rhs: det(I - z Phi^2) where Phi is the Hankel
-    operator with the log-variable Bessel symbol shifted by alpha.
+    lhs: det(I - z F) with F the hard-edge kernel on (0, a) on its own rule
+    (Gauss-Legendre in sqrt x), as ``rmedge det`` discretizes it.  rhs:
+    det(I - z Phi^2) where Phi is the Hankel operator with the log-variable
+    Bessel symbol shifted by alpha.
     Returns (lhs, rhs, |lhs - rhs|).
     """
-    lhs = fredholm_det(discretize(_hard_edge_u_spec(cfg.nu),
-                                  (0.0, math.sqrt(cfg.a)), n), z)
+    lhs = fredholm_det(discretize(bessel_hard_kernel(cfg.nu), (0.0, cfg.a), n), z)
     sym = bessel_log_symbol_kernel(cfg.nu, ell=cfg.alpha)
     hankel = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120)))
     ld = checked_log_det(hankel, z, squared=True)
@@ -193,15 +181,15 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
     if not 0.0 < s <= 1.0:
         raise ValueError("s must lie in (0, 1]")
     ell = -0.5 * math.log(s)
-    rs = math.sqrt(s)
 
-    def ev(u, v):
-        return 2.0 * np.sqrt(u * v) * bessel_jv(nu, rs * (u * v))  # symmetric bit for bit
+    def ev(x, y):
+        return bessel_jv(nu, np.sqrt(s * (x * y)))  # symmetric bit for bit
 
-    spec_u = KernelSpec("jnu_scaled_u", {"nu": nu, "s": s}, (0.0, math.inf), ev)
-    op = discretize(spec_u, (0.0, 1.0), n)
+    spec = KernelSpec("jnu_scaled", {"nu": nu, "s": s}, (0.0, math.inf), ev,
+                      rule=gauss_legendre_sqrt)
+    op = discretize(spec, (0.0, 1.0), n)
     lam, vecs = op.eigenpairs(top)
-    mapped = 0.5 * lam * rs
+    mapped = 0.5 * lam * math.sqrt(s)
 
     sym = bessel_log_symbol_kernel(nu, ell=ell)
     hop = discretize(sym, (0.0, math.inf), max(2 * n, 120))
@@ -209,16 +197,11 @@ def phi_eigen_correspondence(nu, s, n=60, top=5):
 
     gap = float(np.abs(np.sort(mapped) - np.sort(hlam)).max())
 
-    # eigenvector correspondence for the leading pair, via the natural
-    # Nystrom interpolation of the (0,1)-side eigenfunction
-    u_nodes, w_nodes = op.rule.nodes, op.rule.weights
-    f_vals = vecs[:, 0] / np.sqrt(2.0 * u_nodes)
-
+    # eigenvector correspondence for the leading pair, via the natural Nystrom
+    # interpolation f(x) = (1/lam) int_0^1 J_nu(sqrt(s x y)) f(y) dy of the
+    # (0,1)-side eigenfunction
     def f_interp(x):
-        # f(x) = (1/lam) int_0^1 J_nu(sqrt(s x y)) f(y) dy in the u variable
-        arg = rs * np.sqrt(np.asarray(x, dtype=float))
-        ker = bessel_jv(nu, arg[:, None] * u_nodes[None, :])
-        return (ker @ (w_nodes * 2.0 * u_nodes * f_vals)) / lam[0]
+        return ev(x[:, None], op.rule.nodes) @ (op.rule.weights * vecs[:, 0]) / lam[0]
 
     # the Hankel eigenfunction is already unit in the weights; match its sign
     hxi, hw = hop.rule.nodes, hop.rule.weights
@@ -234,7 +217,10 @@ def u_nu_eval(nu, x):
     """The unimodular symbol 2^{ix} Gamma((1+nu+ix)/2) / Gamma((1+nu-ix)/2)."""
     if not nu > -0.5:
         raise ValueError("order must exceed -1/2")
-    return unimodular_gamma_ratio(nu, x)
+    x = float(x)
+    lg_num = log_gamma_complex(complex(0.5 * (1.0 + nu), 0.5 * x))
+    lg_den = log_gamma_complex(complex(0.5 * (1.0 + nu), -0.5 * x))
+    return complex(np.exp(1j * x * math.log(2.0) + lg_num - lg_den))
 
 
 def q_projection_defect(nu, ell, box, n):

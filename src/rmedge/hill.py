@@ -202,7 +202,7 @@ class MathieuKernel:
     spec: KernelSpec = field(repr=False)
 
 
-def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
+def mathieu_tw_kernel(alpha, spectral_index):
     """Doubly periodic kernel from the 2pi-periodic solution at a spectrum point.
 
     ``spectral_index`` refers to entries of :func:`periodic_spectrum`; indices
@@ -220,7 +220,7 @@ def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
             "2pi-periodic eigenfunction")
     lam = float(spectrum.lambdas[spectral_index])
     freqs, sine, coeffs = _modes(alpha, spectral_index + 1)[1][spectral_index]
-    xs = np.linspace(0.0, 2.0 * math.pi, n_grid + 1)
+    xs = np.linspace(0.0, 2.0 * math.pi, 2049)
 
     def series(x):
         phase = np.multiply.outer(x, freqs)
@@ -258,14 +258,15 @@ def mathieu_tw_kernel(alpha, spectral_index, n_grid=2048):
                          x_grid=xs, A_values=a, A_prime_values=ap, spec=spec)
 
 
-def _fft_second_derivative(f, period=2.0 * math.pi):
+def _fft_second_derivative(f):
+    # f'' of a 2pi-periodic f sampled on n equispaced points
     n = f.size
-    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=period / n)
+    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=2.0 * math.pi / n)
     return np.fft.irfft(-(k * k) * np.fft.rfft(f), n=n)
 
 
-def mathieu_eigencheck(kernel, n=256, top=6):
-    """ODE residuals of the discretized kernel's leading simple eigenfunctions.
+def mathieu_eigencheck(kernel, n=256):
+    """ODE residuals of the discretized kernel's six leading simple eigenfunctions.
 
     The kernel is discretized with the equal-weight midpoint rule (spectrally
     accurate for smooth periodic kernels).  For each retained eigenfunction f
@@ -283,7 +284,7 @@ def mathieu_eigencheck(kernel, n=256, top=6):
     scale = np.abs(vals[0])
     report = []
     skipped = 0
-    for idx, lam_op in enumerate(vals[:top]):
+    for idx, lam_op in enumerate(vals[:6]):
         if abs(lam_op) < 1e-6 * scale:
             continue
         gaps = np.abs(vals - lam_op)

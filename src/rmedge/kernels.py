@@ -10,14 +10,14 @@ A(x + y), so that squares can be formed by quadrature, see
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import TruncationError
-from .specfun import airy, airy_ai, bessel_jv, gauss_legendre
+from .specfun import airy, airy_ai, bessel_jv, gauss_legendre, gauss_legendre_sqrt
 
 __all__ = [
     "KernelSpec",
@@ -51,7 +51,8 @@ class KernelSpec:
     ``diag`` gives K(x, x); for an integrable kernel (``ab`` and ``denom``
     set) it maps (x, A(x), B(x)) to the diagonal, so that assembly reuses the
     values at the nodes.  A spec without ``diag`` is regular on its diagonal
-    and evaluated there by ``evaluator``.
+    and evaluated there by ``evaluator``.  ``rule`` maps (n, lo, hi) to the
+    QuadRule that discretizes the kernel; None means Gauss-Legendre.
     """
 
     family: str
@@ -63,6 +64,7 @@ class KernelSpec:
     tail_length: Optional[float] = None
     ab: Optional[Callable] = field(default=None, repr=False)
     denom: Optional[Callable] = field(default=None, repr=False)
+    rule: Optional[Callable] = field(default=None, repr=False)
 
     @property
     def tag(self):
@@ -230,11 +232,14 @@ def airy_kernel():
 def bessel_hard_kernel(nu):
     """Hard-edge kernel on (0, infinity): A = J_nu(sqrt x), B = -sqrt x J_{nu+1}(sqrt x), g = 2x.
 
-    Its diagonal is (J_nu^2 - J_{nu+1} J_{nu-1})(sqrt x) / 4.
+    Its diagonal is (J_nu^2 - J_{nu+1} J_{nu-1})(sqrt x) / 4.  Its rule is
+    Gauss-Legendre in u = sqrt x, which absorbs the endpoint factor (xy)^{nu/2}
+    for nu in (1/2)Z (exponential convergence); other nu converge algebraically.
     """
     nu = float(nu)
-    return bessel_integrable_kernel("bessel_hard", {"nu": nu}, (0.0, math.inf), nu,
+    spec = bessel_integrable_kernel("bessel_hard", {"nu": nu}, (0.0, math.inf), nu,
                                     np.sqrt, lambda s: 1.0, 2.0)
+    return replace(spec, rule=gauss_legendre_sqrt)
 
 
 def airy_symbol_kernel(shift=0.0):

@@ -67,7 +67,6 @@ class Spectrum:
 @dataclass(frozen=True)
 class GapDistribution:
     probs: np.ndarray  # E(0), ..., E(kmax)
-    z_reference: float
     interval: tuple
 
 
@@ -104,7 +103,8 @@ def nystrom(rule, K, kernel_tag="custom"):
 
 
 def discretize(spec, interval, n):
-    """Symmetrized Nystrom matrix of a kernel on an interval with n GL nodes."""
+    """Symmetrized Nystrom matrix of a kernel on an interval, on n nodes of the
+    spec's rule (Gauss-Legendre by default)."""
     if n < 2:
         raise ValueError("need n >= 2 nodes")
     lo, hi = float(interval[0]), float(interval[1])
@@ -112,7 +112,7 @@ def discretize(spec, interval, n):
     if lo < dlo - 1e-12 or hi > dhi + 1e-12:
         raise ValueError(f"interval {interval} outside kernel domain {spec.domain}")
     lo, hi = _truncate(spec, lo, hi)
-    rule = gauss_legendre(n, lo, hi)
+    rule = (spec.rule or gauss_legendre)(n, lo, hi)
     return nystrom(rule, kernel_matrix(spec, rule.nodes), spec.tag)
 
 
@@ -220,4 +220,4 @@ def gap_probs(op, kmax):
         # scalar recurrence e[k] += m * e[k - 1] reads only old values
         e[1:top + 1] += m * e[:top]
     lo, hi = op.rule.interval
-    return GapDistribution(probs=d * e, z_reference=1.0, interval=(lo, hi))
+    return GapDistribution(probs=d * e, interval=(lo, hi))

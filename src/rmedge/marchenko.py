@@ -45,9 +45,9 @@ class MarchenkoSolution:
     symbol_tag: str
 
 
-def symbol_weighted_norm(spec, n=400):
+def symbol_weighted_norm(spec):
     """int_0^inf u A(u)^2 du, truncated at the symbol's registered tail length."""
-    rule = gauss_legendre(n, 0.0, float(spec.tail_length))
+    rule = gauss_legendre(400, 0.0, float(spec.tail_length))
     a = spec.symbol(rule.nodes)
     return float(np.dot(rule.weights, rule.nodes * a * a))
 
@@ -110,12 +110,11 @@ def log_det_tail(spec, kappa, x, n=160):
     return ld.log_abs
 
 
-def verify_logdet_slope(spec, kappa, x, n=160):
+def verify_logdet_slope(spec, kappa, x):
     """Centered difference (step 1e-3) of the log-determinant against kappa K(x, x)."""
     h = 1e-3
-    lhs = (log_det_tail(spec, kappa, x + h, n)
-           - log_det_tail(spec, kappa, x - h, n)) / (2.0 * h)
-    rhs = kappa * marchenko_diag(spec, kappa, x, n)
+    lhs = (log_det_tail(spec, kappa, x + h) - log_det_tail(spec, kappa, x - h)) / (2.0 * h)
+    rhs = kappa * marchenko_diag(spec, kappa, x)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -154,10 +153,11 @@ def hs_expansion(spec, x, m, n=240):
     return gammas, Phi, (rule, phis)
 
 
-def diag_from_expansion(spec, kappa, x, m=24, n=240):
-    """K(x, x) through the eigen-expansion route (series solution of the kernel)."""
+def diag_from_expansion(spec, kappa, x):
+    """K(x, x) through the eigen-expansion route (series solution of the kernel),
+    from the top 24 terms of :func:`hs_expansion` on 240 nodes."""
     _check_contraction(spec, kappa, x)
-    gammas, Phi, (rule, phis) = hs_expansion(spec, x, m, n)
+    gammas, Phi, (rule, phis) = hs_expansion(spec, x, 24)
     # Nystrom natural interpolation of the eigenfunctions at the point x
     keep = np.abs(gammas) > 1e-8 * np.abs(gammas[0])
     gammas = gammas[keep]

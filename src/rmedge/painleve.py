@@ -80,17 +80,16 @@ def _integrate_pii(t, x_min, anchor):
     return sol
 
 
-def solve_pii(t, x_min, x_max, num=None):
-    """Solution of w'' = 2w^3 + xw anchored to -sqrt(t) Ai at the right end."""
+def solve_pii(t, x_min, x_max):
+    """Solution of w'' = 2w^3 + xw anchored to -sqrt(t) Ai at the right end,
+    sampled at spacing at most 0.05 on (x_min, x_max), at least 64 points."""
     if x_max < 6.0:
         raise ValueError("x_max must be at least 6 so the Airy anchor is accurate")
     if not x_min < x_max:
         raise ValueError("empty range")
     anchor = max(x_max, _ANCHOR)
     sol = _integrate_pii(t, x_min, anchor)
-    if num is None:
-        num = max(64, int((x_max - x_min) / 0.05) + 1)
-    xs = np.linspace(x_min, x_max, num)
+    xs = np.linspace(x_min, x_max, max(64, int((x_max - x_min) / 0.05) + 1))
     vals = sol.sol(xs)
     return PIISolution(t=float(t), anchor=anchor, xs=xs,
                        w=vals[0], w_prime=vals[1], _dense=sol.sol)

@@ -17,6 +17,7 @@ from scipy import special as _sp
 __all__ = [
     "QuadRule",
     "gauss_legendre",
+    "gauss_legendre_sqrt",
     "periodic_rule",
     "panel_rule",
     "airy",
@@ -99,6 +100,18 @@ def gauss_legendre(n, lo, hi):
     nodes = (0.5 * (lo + hi) + half * x)[::-1].copy()
     weights = (half * w)[::-1].copy()
     return QuadRule(nodes=nodes, weights=weights, interval=(lo, hi))
+
+
+def gauss_legendre_sqrt(n, lo, hi):
+    """The n-point Gauss-Legendre rule in u = sqrt(x) on (sqrt lo, sqrt hi), as a
+    rule in x on (lo, hi): nodes u^2, weights 2 u w.  Exact for polynomials in
+    sqrt(x) of degree <= 2n-2; 0 <= lo is required.
+    """
+    if lo < 0:
+        raise ValueError(f"the square-root rule needs lo >= 0, got lo = {lo}")
+    u = gauss_legendre(n, math.sqrt(lo), math.sqrt(hi))
+    return QuadRule(nodes=u.nodes * u.nodes, weights=2.0 * u.nodes * u.weights,
+                    interval=(lo, hi))
 
 
 def periodic_rule(n, lo, hi):
@@ -184,10 +197,3 @@ def log_gamma_complex(z):
         raise ValueError("log_gamma_complex is restricted to Re z > 0")
     return complex(_sp.loggamma(z))
 
-
-def unimodular_gamma_ratio(nu, x):
-    """2^{ix} Gamma((1+nu+ix)/2) / Gamma((1+nu-ix)/2); unimodular for real x."""
-    x = float(x)
-    lg_num = log_gamma_complex(complex(0.5 * (1.0 + nu), 0.5 * x))
-    lg_den = log_gamma_complex(complex(0.5 * (1.0 + nu), -0.5 * x))
-    return complex(np.exp(1j * x * math.log(2.0) + lg_num - lg_den))

@@ -46,6 +46,22 @@ class TestDet:
         assert (tmp_path / "one.json").read_text() == (tmp_path / "two.json").read_text()
 
 
+    def test_hard_edge_off_half_integer_order(self, tmp_path):
+        # nu = -0.3 converges only algebraically in sqrt x; the rule in x was 1.2e-3 off
+        code = run(tmp_path, "det", "--kernel", "bessel-hard", "--nu", "-0.3",
+                   "--interval", "0", "12", "--n", "64")
+        assert code == 0
+        got = json.loads((tmp_path / "det.json").read_text())["determinant"]
+        assert abs(got - 0.017516955406326258) < 3e-6
+
+    def test_hard_edge_order_at_minus_half_writes_nothing(self, tmp_path, capsys):
+        code = run(tmp_path, "det", "--kernel", "bessel-hard", "--nu", "-0.5",
+                   "--interval", "0", "1")
+        assert code == 1
+        assert "error [ValueError]: order must exceed -1/2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 class TestGap:
     def test_csv_output(self, tmp_path):
         code = run(tmp_path, "gap", "--kernel", "sine", "--t", "1",

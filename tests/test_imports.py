@@ -38,7 +38,8 @@ def test_readme_det_gap_hardedge_never_load_the_ode_solver(tmp_path):
     runs = [["det", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--z", "1",
              "--n", "64"],
             ["gap", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--kmax", "8"],
-            ["hardedge", "--nu", "0.5", "--a", "0.5", "--z", "1"]]
+            ["hardedge", "--nu", "0.5", "--a", "0.5", "--z", "1"],
+            ["det", "--kernel", "bessel-hard", "--nu", "0.5", "--interval", "0", "1"]]
     code = "from rmedge.cli import main\n" + "".join(
         f"assert main({argv!r}) == 0\n" for argv in runs)
     loaded = deferred_loaded_after(code, tmp_path)

@@ -7,7 +7,6 @@ import pytest
 
 from rmedge import kernels
 from rmedge.errors import TruncationError
-from rmedge.hardedge import _hard_edge_u_spec
 from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_hard_kernel, bessel_log_symbol_kernel,
                             hankel_square_eval, hankel_square_grid,
@@ -100,7 +99,6 @@ _MATRIX_SPECS = [
     (sine_kernel(1.5), -2.0, 4.0),
     (bessel_hard_kernel(2.0), 0.0, 5.0),
     (qbessel_kernel(0.5, ell=0.3), 0.0, 18.0),
-    (_hard_edge_u_spec(2.0), 0.0, 0.7),
     (sine_circle_kernel(3), -1.0, 2.0),
     (KernelSpec("evaluator_only", {}, (-math.inf, math.inf),
                 lambda x, y: np.exp(-(x - y) ** 2) * np.cos(x * y)), -1.0, 3.0),
@@ -220,14 +218,6 @@ class TestExactDiagonals:
                 got = kernel_eval(bessel_hard_kernel(nu), x, x)
                 assert abs(got - want) <= 1e-13 * abs(want)
 
-    @pytest.mark.parametrize("nu", [0.5, 2.0])
-    def test_hard_edge_u_variable(self, nu):
-        with mpmath.workdps(30):
-            for u in (0.4, 1.1, 3.0):
-                want = mpmath.mpf(u) * _bessel_bracket(nu, u) / 2
-                got = kernel_eval(_hard_edge_u_spec(nu), u, u)
-                assert abs(got - want) <= 1e-13 * abs(want)
-
     @pytest.mark.parametrize("nu,ell", [(0.5, 0.0), (2.0, 0.3)])
     def test_qbessel(self, nu, ell):
         with mpmath.workdps(30):
@@ -330,6 +320,15 @@ def test_soft_edge_determinant_identity_small():
             lhs = fredholm_det(op, z)
             rhs = float(np.prod(1.0 - z * gam * gam))
             assert abs(lhs - rhs) < 1e-8
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.0])
+@pytest.mark.parametrize("s", [1.0, 12.0])
+def test_hard_edge_determinant_converged_at_64_nodes(nu, s):
+    # the fredholm-mix inputs; Gauss-Legendre in x was 1.5e-6 off at nu = 0.5, s = 12
+    spec = bessel_hard_kernel(nu)
+    dets = [fredholm_det(discretize(spec, (0.0, s), n), 1.0) for n in (64, 200)]
+    assert abs(dets[0] - dets[1]) <= 1e-14
 
 
 def test_qbessel_is_mapped_hard_edge_kernel():

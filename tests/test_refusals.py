@@ -37,6 +37,12 @@ REFUSALS = {
     "bessel-log-order": (lambda: kernels.bessel_log_symbol_kernel(-0.5),
                          "order must exceed -1/2"),
     "u-nu-order": (lambda: hardedge.u_nu_eval(-0.5, 1.0), "order must exceed -1/2"),
+    "bessel-hard-order": (lambda: kernels.bessel_hard_kernel(-0.5), "order must exceed -1/2"),
+    "qbessel-order": (lambda: kernels.qbessel_kernel(-0.5), "order must exceed -1/2"),
+    "product-formula-short-spectrum": (
+        lambda: hill.product_formula_check(1.0, 0.3, 3,
+                                           spectrum=hill.periodic_spectrum(1.0, 5)),
+        "spectrum holds too few entries for n_terms"),
     "bracket-order": (lambda: twfactor.bessel_bracket_residual(-0.5, 0.0, 1.0),
                       "order must exceed -1/2"),
     "sine-t0": (lambda: kernels.sine_kernel(0), "needs t > 0"),

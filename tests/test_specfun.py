@@ -5,9 +5,9 @@ import pytest
 from scipy import special as sp
 
 from rmedge import specfun
+from rmedge.hardedge import u_nu_eval
 from rmedge.specfun import (QuadRule, airy, airy_ai, bessel_j, bessel_jv, gauss_legendre,
-                            log_gamma_complex, periodic_rule,
-                            unimodular_gamma_ratio)
+                            gauss_legendre_sqrt, log_gamma_complex, periodic_rule)
 
 
 def _newton_rule(n, lo, hi):
@@ -104,6 +104,29 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             QuadRule(nodes=np.array([0.4, 0.5]), weights=np.array([-0.5, 1.5]),
                      interval=(0.0, 1.0))
+
+
+class TestGaussLegendreSqrt:
+    @pytest.mark.parametrize("s", [1.0, 12.0])
+    def test_half_integer_powers_exact(self, s):
+        # x^{1/2} and x^{3/2} are polynomials in u = sqrt(x); in x they are not
+        root = gauss_legendre_sqrt(4, 0.0, s)
+        plain = gauss_legendre(4, 0.0, s)
+        for p in (0.5, 1.5):
+            exact = s ** (p + 1.0) / (p + 1.0)
+            assert abs(root.integrate(root.nodes ** p) - exact) <= 1e-15 * exact
+            assert abs(plain.integrate(plain.nodes ** p) - exact) > 1e-6 * exact
+
+    def test_nodes_are_squares_of_the_u_rule(self):
+        r = gauss_legendre_sqrt(10, 0.5, 3.0)
+        u = gauss_legendre(10, math.sqrt(0.5), math.sqrt(3.0))
+        assert np.array_equal(r.nodes, u.nodes * u.nodes)
+        assert np.array_equal(r.weights, 2.0 * u.nodes * u.weights)
+        assert r.interval == (0.5, 3.0)
+
+    def test_negative_lower_end_refused(self):
+        with pytest.raises(ValueError, match="lo >= 0"):
+            gauss_legendre_sqrt(4, -1.0, 1.0)
 
 
 class TestPeriodicRule:
@@ -329,11 +352,11 @@ class TestLogGamma:
 
     def test_unimodular_ratio(self):
         # |2^{ix} Gamma((1+nu+ix)/2) / Gamma((1+nu-ix)/2)| = 1 on the real line
-        assert abs(abs(unimodular_gamma_ratio(0.5, 2.0)) - 1.0) < 1e-12
+        assert abs(abs(u_nu_eval(0.5, 2.0)) - 1.0) < 1e-12
 
     def test_ratio_inverse_symmetry(self):
         # u_nu(-x) u_nu(x) = 1 on a grid of real x
         for nu in (0.5, 1.0):
             for x in np.linspace(-6.0, 6.0, 13):
-                u = unimodular_gamma_ratio(nu, x) * unimodular_gamma_ratio(nu, -x)
+                u = u_nu_eval(nu, x) * u_nu_eval(nu, -x)
                 assert abs(u - 1.0) < 1e-12
