@@ -79,6 +79,11 @@ class LogDet:
     weyl: float  # n eps |z| max|lam|: a factor at or below it has no sign
     bound: float  # first-order rounding bound on log_abs
 
+    @property
+    def value(self):
+        """The determinant itself, sign * exp(log_abs)."""
+        return self.sign * math.exp(self.log_abs)
+
 
 def _truncate(spec, lo, hi):
     if math.isinf(hi):
@@ -163,10 +168,10 @@ def checked_log_det(spectrum, z, squared=False):
     return LogDet(*log_det(lam, z), closest=closest, weyl=weyl, bound=float(bound))
 
 
-def fredholm_det(op, z):
-    """det(I - z K) from the discretized spectrum, through :func:`checked_log_det`."""
-    ld = checked_log_det(sym_eigen(op), z)
-    return ld.sign * math.exp(ld.log_abs)
+def fredholm_det(op, z, squared=False):
+    """det(I - z K), or det(I - z K^2) if ``squared``, from the discretized spectrum,
+    through :func:`checked_log_det`."""
+    return checked_log_det(sym_eigen(op), z, squared).value
 
 
 _FIRST_RUNG = 32

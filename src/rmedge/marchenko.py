@@ -52,35 +52,32 @@ def symbol_weighted_norm(spec):
     return float(np.dot(rule.weights, rule.nodes * a * a))
 
 
+def _shifted(spec, x):
+    """The symbol A(x + .), cut where its argument reaches the symbol's tail length."""
+    return hankel_symbol_kernel(lambda s: spec.symbol(x + s), spec.tail_length - min(x, 0.0))
+
+
 def _check_contraction(spec, kappa, x):
     """Refuse unless kappa^2 ||G_x||_HS^2 < 1; the norm falls as x grows, so the
     symbol's weighted norm bounds it for x >= 0 and its shift by x below 0."""
     for name, value in (("kappa", kappa), ("x", x)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {name} = {value}")
-    shift = min(float(x), 0.0)
-    norm = symbol_weighted_norm(hankel_symbol_kernel(
-        lambda s: spec.symbol(shift + s), spec.tail_length - shift))
+    norm = symbol_weighted_norm(_shifted(spec, min(float(x), 0.0)))
     if kappa * kappa * norm >= 1.0:
         raise ContractionError(
             f"kappa^2 * int u A(min(x, 0) + u)^2 du = {kappa * kappa * norm:.6g} >= 1; "
             "the resolvent equation is not a contraction")
 
 
-def _shifted_hankel(spec, x, n):
-    """The Hankel operator with kernel A(x+s+t) on (0, inf), cut where its argument
-    reaches the symbol's tail length (as in _check_contraction) by linop's tail check."""
-    shifted = hankel_symbol_kernel(lambda s: spec.symbol(x + s),
-                                   spec.tail_length - min(x, 0.0))
-    return discretize(shifted, (0.0, np.inf), n)
-
-
 def _resolvent(spec, kappa, x, n):
     """G_x discretized as op, a = sqrt(w) A(x + s) and sol = (I - kappa^2 G_x^2)^{-1} a,
-    all in symmetrized Nystrom coordinates on the nodes s of op.rule."""
+    all in symmetrized Nystrom coordinates on the nodes s of op.rule; G_x is the
+    Hankel operator A(x+s+t) on (0, inf), cut by linop's tail check."""
     _check_contraction(spec, kappa, x)
-    op = _shifted_hankel(spec, x, n)
-    a = np.sqrt(op.rule.weights) * spec.symbol(x + op.rule.nodes)
+    shifted = _shifted(spec, x)
+    op = discretize(shifted, (0.0, np.inf), n)
+    a = np.sqrt(op.rule.weights) * shifted.symbol(op.rule.nodes)
     sol = np.linalg.solve(np.eye(n) - kappa * kappa * (op.matrix @ op.matrix), a)
     return op, a, sol
 
@@ -94,16 +91,16 @@ def solve_marchenko(spec, kappa, x, n=160):
                              route="resolvent", symbol_tag=spec.tag)
 
 
-def marchenko_diag(spec, kappa, x, n=160):
+def marchenko_diag(spec, kappa, x):
     """K(x, x) = kappa < (I - kappa^2 G_x^2)^{-1} A(x+.), A(x+.) >, which is better
-    conditioned on the diagonal than interpolating K(x, .)."""
-    _, a, sol = _resolvent(spec, kappa, x, n)
+    conditioned on the diagonal than interpolating K(x, .); G_x on 160 nodes."""
+    _, a, sol = _resolvent(spec, kappa, x, 160)
     return float(kappa * (a @ sol))
 
 
 def log_det_tail(spec, kappa, x, n=160):
     """log det(I - kappa^2 P_(x,inf) W P_(x,inf)) via the Hankel spectrum."""
-    hankel = sym_eigen(_shifted_hankel(spec, x, n))
+    hankel = sym_eigen(discretize(_shifted(spec, x), (0.0, np.inf), n))
     ld = checked_log_det(hankel, kappa * kappa, squared=True)
     if ld.sign <= 0:
         raise ContractionError(f"det(I - kappa^2 W) <= 0 at kappa = {kappa:g}")

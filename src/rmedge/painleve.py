@@ -23,7 +23,7 @@ import numpy as np
 from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
-from .linop import checked_log_det, discretize, refined_log_det, sym_eigen
+from .linop import discretize, fredholm_det, refined_log_det
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -150,9 +150,8 @@ def tw_cdf_det(t, xs, n=100):
         spec = airy_symbol_kernel(shift=float(x))
         if n is None:
             nodes[i], ld = refined_log_det(spec, (0.0, np.inf), t, squared=True)
+            F[i] = ld.value
         else:
-            op = discretize(spec, (0.0, np.inf), n)
-            nodes[i], ld = n, checked_log_det(sym_eigen(op), t, squared=True)
-        F[i] = ld.sign * math.exp(ld.log_abs)
+            nodes[i], F[i] = n, fredholm_det(discretize(spec, (0.0, np.inf), n), t, squared=True)
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant",
                    nodes=nodes)

@@ -182,6 +182,14 @@ class TestFredholmDet:
             direct = float(np.linalg.det(np.eye(32) - z * op.matrix))
             assert abs(fredholm_det(op, z) - direct) < 1e-10
 
+    def test_squared_is_the_checked_hankel_square_value(self):
+        op = discretize(airy_symbol_kernel(shift=-2.0), (0.0, math.inf), 48)
+        for z in (0.5, 1.0):
+            want = checked_log_det(sym_eigen(op), z, squared=True).value
+            assert fredholm_det(op, z, squared=True) == want
+            direct = float(np.linalg.det(np.eye(48) - z * op.matrix @ op.matrix))
+            assert abs(want - direct) < 1e-12
+
     @pytest.mark.parametrize("spec,interval", [
         (sine_kernel(1.0), (0.0, 1.0)),
         (airy_kernel(), (0.0, math.inf)),
@@ -270,6 +278,16 @@ class TestCheckedLogDet:
         if math.isinf(below):
             assert max(moves) > 1e-13
 
+    def test_value_carries_a_negative_sign(self):
+        # factors 1 - 2 = -1 and 1 - 1/2; squared, 1 - 9/4 and 1 - 1/4
+        spectrum = Spectrum(eigenvalues=np.array([2.0, 0.5]), rule_size=2, kernel_tag="toy")
+        ld = checked_log_det(spectrum, 1.0)
+        assert ld.sign == -1.0 and ld.value == -math.exp(ld.log_abs)
+        assert ld.value == pytest.approx(-0.5, rel=1e-15, abs=0.0)
+        spectrum = replace(spectrum, eigenvalues=np.array([1.5, 0.5]))
+        assert checked_log_det(spectrum, 1.0, squared=True).value == pytest.approx(
+            -0.9375, rel=1e-15, abs=0.0)
+
     def test_zero_factor_raises_where_log_det_gives_minus_infinity(self):
         assert log_det([1.0, 0.5], 1.0) == (0.0, -math.inf)
         spectrum = Spectrum(eigenvalues=np.array([1.0, 0.5]), rule_size=2, kernel_tag="toy")
@@ -338,20 +356,22 @@ class TestRefinedLogDet:
                             squared=True)
 
 
-def _unit_spectrum(op):
-    # gamma = 1 exactly: det(I - Gamma^2) = 0, whose sign no spectrum resolves
-    return Spectrum(eigenvalues=np.array([1.0, 0.5]), rule_size=2, kernel_tag=op.kernel_tag)
-
-
 @pytest.mark.parametrize("module,call", [
-    (painleve, lambda: painleve.tw_cdf_det(1.0, [0.0], n=20)),
-    (hardedge, lambda: hardedge.bessel_det_identity(hardedge.HardEdgeConfig(0.5, 0.5), 1.0,
-                                                    n=20)),
+    (linop, lambda: painleve.tw_cdf_det(1.0, [0.0], n=20)),
+    (linop, lambda: hardedge.bessel_det_identity(hardedge.HardEdgeConfig(0.5, 0.5), 1.0,
+                                                 n=20)),
     (marchenko, lambda: marchenko.log_det_tail(airy_symbol_kernel(), 1.0, 0.5, n=20)),
 ], ids=["tw_cdf_det", "bessel_det_identity", "log_det_tail"])
 def test_hankel_square_determinants_refuse_a_factor_at_zero(monkeypatch, module, call):
-    # unguarded, log_det gives (0, -inf) here and each caller returns F = 0
-    monkeypatch.setattr(module, "sym_eigen", _unit_spectrum)
+    # gamma = 1 exactly for the Hankel operator: det(I - Gamma^2) = 0, whose sign no
+    # spectrum resolves; unguarded, log_det gives (0, -inf) and each caller F = 0
+    def unit_spectrum(op):
+        if "symbol" not in op.kernel_tag:
+            return sym_eigen(op)
+        return Spectrum(eigenvalues=np.array([1.0, 0.5]), rule_size=2,
+                        kernel_tag=op.kernel_tag)
+
+    monkeypatch.setattr(module, "sym_eigen", unit_spectrum)
     with pytest.raises(NearSingularError, match=r"\)\^2 at z = 1 "):
         call()
 
