@@ -11,11 +11,10 @@ generator, so a (seed, sample_index) pair pins each matrix.
 
 import numpy as np
 
-from rmedge import (discretize, gap_probs, sample_gue_eigs,
-                    soft_edge_gap_counts)
+from rmedge import (discretize, gap_probs, sample_gue_eigs, soft_edge_gap_counts,
+                    sym_eigen)
 from rmedge.ensembles import semicircle_density
 from rmedge.kernels import airy_symbol_kernel
-from rmedge.linop import operator_square
 
 SEED = 7
 
@@ -34,8 +33,10 @@ for lo, hi, h in zip(bins[:-1], bins[1:], hist):
 # --- soft edge: counting eigenvalues beyond the cut ---------------------------
 alpha = 0.0
 res = soft_edge_gap_counts(200, 400, alpha, seed=SEED)
-predicted = gap_probs(operator_square(
-    discretize(airy_symbol_kernel(shift=alpha), (0.0, np.inf), 100)), 4).probs
+# the Airy kernel is the square of the Hankel operator Gamma, so E(k) reads the
+# squares of Gamma's eigenvalues
+gamma = sym_eigen(discretize(airy_symbol_kernel(shift=alpha), (0.0, np.inf), 100))
+predicted = gap_probs(gamma, 4, squared=True).probs
 
 print(f"\ncounts of scaled eigenvalues above {alpha} (n=200, 400 samples):")
 print("k   empirical   +-SE      predicted")

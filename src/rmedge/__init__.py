@@ -7,7 +7,7 @@ independent routes; and seeded Monte Carlo ensemble sampling to compare
 against the deterministic predictions.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .specfun import (QuadRule, airy, airy_ai, bessel_j, bessel_jv, gauss_legendre,
                       log_gamma_complex, periodic_rule)
@@ -32,7 +32,6 @@ from .linop import (
     discretize,
     fredholm_det,
     gap_probs,
-    operator_square,
     sym_eigen,
 )
 from .twfactor import (

@@ -15,8 +15,7 @@ import numpy as np
 from . import ensembles, hardedge, hill, marchenko, painleve, twfactor
 from .kernels import (airy_kernel, airy_symbol_kernel, hankel_square_grid,
                       hankel_symbol_kernel, kernel_matrix, sine_kernel)
-from .linop import (checked_log_det, discretize, gap_probs, nystrom, operator_square,
-                    sym_eigen)
+from .linop import checked_log_det, discretize, gap_probs, nystrom, sym_eigen
 from .specfun import airy, gauss_legendre, periodic_rule
 
 __all__ = ["CRITERIA", "run_all"]
@@ -167,16 +166,15 @@ def _hill_mathieu():
 
 
 def _gap_probabilities():
-    op = discretize(sine_kernel(1.0), (0.0, 1.0), 60)
-    g = gap_probs(op, 60)
+    spectrum = sym_eigen(discretize(sine_kernel(1.0), (0.0, 1.0), 60))
+    g = gap_probs(spectrum, 60)
     sum_dev_sine = abs(float(g.probs.sum()) - 1.0)
-    gam_op = discretize(airy_symbol_kernel(), (0.0, math.inf), 60)
-    g2 = gap_probs(operator_square(gam_op), 60)
+    gamma = sym_eigen(discretize(airy_symbol_kernel(), (0.0, math.inf), 60))
+    g2 = gap_probs(gamma, 60, squared=True)
     sum_dev_airy = abs(float(g2.probs.sum()) - 1.0)
     # z-differentiation oracle: Chebyshev-type polynomial fit of det(I - zK)
     # around z = 1, derivatives at 1
     zs = np.linspace(0.4, 1.6, 25)
-    spectrum = sym_eigen(op)
     dets = np.array([checked_log_det(spectrum, z).value for z in zs])
     coef = np.polynomial.polynomial.polyfit(zs - 1.0, dets, 12)
     deriv_dev = 0.0

@@ -76,7 +76,7 @@ def _cmd_det(args, out):
 
 def _cmd_gap(args, out):
     op = _operator(args)
-    g = linop.gap_probs(op, args.kmax)
+    g = linop.gap_probs(linop.sym_eigen(op), args.kmax)
     if args.format == "json":
         _write_json(out, {"kernel": op.kernel_tag, "interval": list(op.rule.interval),
                           "E": [float(p) for p in g.probs]})
@@ -158,8 +158,8 @@ def _cmd_sample(args, out):
     symbol = kernels.airy_symbol_kernel(shift=args.alpha)
     res = ensembles.soft_edge_gap_counts(args.n, args.samples, args.alpha,
                                          seed=args.seed, kmax=args.kmax)
-    airy_sq = linop.operator_square(linop.discretize(symbol, (0.0, math.inf), 100))
-    predicted = linop.gap_probs(airy_sq, args.kmax).probs
+    gamma = linop.sym_eigen(linop.discretize(symbol, (0.0, math.inf), 100))
+    predicted = linop.gap_probs(gamma, args.kmax, squared=True).probs
     rows = [(k, res.probs[k], res.std_errors[k], predicted[k])
             for k in range(args.kmax + 1)]
     _write_csv(out, ["k", "empirical_E_k", "std_error", "predicted_E_k"], rows)

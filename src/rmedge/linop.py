@@ -27,7 +27,6 @@ __all__ = [
     "LogDet",
     "nystrom",
     "discretize",
-    "operator_square",
     "sym_eigen",
     "log_det",
     "checked_log_det",
@@ -67,7 +66,6 @@ class Spectrum:
 @dataclass(frozen=True)
 class GapDistribution:
     probs: np.ndarray  # E(0), ..., E(kmax)
-    interval: tuple
 
 
 @dataclass(frozen=True)
@@ -121,12 +119,6 @@ def discretize(spec, interval, n):
     return nystrom(rule, kernel_matrix(spec, rule.nodes), spec.tag)
 
 
-def operator_square(op):
-    """The discretized operator K^2 (matrix square in symmetrized coordinates)."""
-    return DiscretizedOp(rule=op.rule, matrix=op.matrix @ op.matrix,
-                         kernel_tag=f"({op.kernel_tag})^2")
-
-
 def sym_eigen(op):
     """Eigenvalues of the discretized operator, sorted descending."""
     vals = np.linalg.eigvalsh(op.matrix)
@@ -146,6 +138,16 @@ def log_det(eigenvalues, z):
     return float(np.prod(np.sign(1.0 + x))), float(np.sum(terms))
 
 
+def _operator_spectrum(spectrum, squared):
+    """(lam, |d lam / d mu|, tag) of K, or of K^2 if ``squared``, from the computed
+    eigenvalues mu of K.  A Hankel square is read as mu^2 of the Hankel operator's
+    own spectrum, so its eigenvalues are >= 0 as those of a square must be."""
+    mu, tag = spectrum.eigenvalues, spectrum.kernel_tag
+    if squared:
+        return mu * mu, 2.0 * np.abs(mu), f"({tag})^2"
+    return mu, 1.0, tag
+
+
 def checked_log_det(spectrum, z, squared=False):
     """:func:`log_det` of det(I - z K), or of det(I - z K^2) if ``squared``, from a
     computed spectrum of K, as a :class:`LogDet`.  Its eigenvalues mu are known to
@@ -154,10 +156,8 @@ def checked_log_det(spectrum, z, squared=False):
     at most n eps max|mu| |z| |d lam / d mu| / |1 - z lam| to first order."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got z = {z}")
-    mu, tag = spectrum.eigenvalues, spectrum.kernel_tag
-    lam, slope = mu, 1.0
-    if squared:
-        lam, slope, tag = mu * mu, 2.0 * np.abs(mu), f"({tag})^2"
+    mu = spectrum.eigenvalues
+    lam, slope, tag = _operator_spectrum(spectrum, squared)
     eps_n = lam.size * np.finfo(float).eps
     closest = float(np.min(np.abs(1.0 - z * lam)))
     weyl = float(eps_n * abs(z) * np.max(np.abs(lam)))
@@ -201,20 +201,23 @@ def refined_log_det(spec, interval, z, squared=False):
         f"next rung, {fine_n}, passes the cap of {_MAX_NODES}")
 
 
-def gap_probs(op, kmax):
-    """Probabilities E(k) that the interval holds exactly k points, k <= kmax.
+def gap_probs(spectrum, kmax, squared=False):
+    """Probabilities E(k) that the interval holds exactly k points, k <= kmax, from
+    the computed spectrum of K, or of K^2 if ``squared`` (lam = mu^2).
 
     E(k) = prod_i (1 - lam_i) * e_k(mu) with mu_i = lam_i / (1 - lam_i), which
     is the closed form of the z-derivatives of det(I - z K) at z = 1.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    lam = sym_eigen(op).eigenvalues
+    lam, _, tag = _operator_spectrum(spectrum, squared)
     worst = lam.max(initial=-np.inf)
     if worst >= 1.0 - 1e-8:
         raise NearSingularError(
-            f"eigenvalue {worst:.12g} of {op.kernel_tag} is >= 1 - 1e-8, where gap "
-            "probabilities diverge; an under-resolved interval needs a larger n (--n)")
+            f"eigenvalue {worst:.12g} of {tag} is >= 1 - 1e-8, where gap probabilities "
+            "diverge: either the interval is under-resolved, which a larger n (--n) "
+            "mends, or the kernel is not a correlation kernel on this interval (an "
+            "eigenvalue above 1 at every n), which no n mends")
     d = float(np.prod(1.0 - lam))
     mu = lam / (1.0 - lam)
     e = np.zeros(kmax + 1)
@@ -224,5 +227,4 @@ def gap_probs(op, kmax):
         # the right side is evaluated before the update, as the descending
         # scalar recurrence e[k] += m * e[k - 1] reads only old values
         e[1:top + 1] += m * e[:top]
-    lo, hi = op.rule.interval
-    return GapDistribution(probs=d * e, interval=(lo, hi))
+    return GapDistribution(probs=d * e)

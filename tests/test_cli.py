@@ -192,6 +192,15 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "sample.csv.manifest.json").read_text())
         assert manifest["seed"] == 9
 
+    def test_sample_predictions_are_nonnegative(self, tmp_path):
+        # squaring the Nystrom matrix wrote E(7) = -4.36e-80 and E(8) = -2.14e-97 here
+        code = run(tmp_path, "sample", "--ensemble", "gue", "--n", "50", "--samples", "20",
+                   "--seed", "7", "--alpha", "1", "--kmax", "8")
+        assert code == 0
+        lines = (tmp_path / "sample.csv").read_text().strip().splitlines()
+        predicted = [float(l.split(",")[3]) for l in lines[1:]]
+        assert len(predicted) == 9 and min(predicted) >= 0.0
+
     def test_sample_manifest_names_the_model(self, tmp_path):
         run(tmp_path, "sample", "--n", "20", "--samples", "5", "--seed", "3", "--kmax", "2")
         manifest = json.loads((tmp_path / "sample.csv.manifest.json").read_text())
@@ -234,6 +243,17 @@ class TestConfigAndErrors:
                    "--interval", "0", "200", "--kmax", "2", "--n", "80")
         assert code == 1
         assert "NearSingularError" in capsys.readouterr().err
+
+    def test_gap_of_a_kernel_above_one_names_both_causes(self, tmp_path, capsys):
+        # the circle kernel's top eigenvalue on (0, 1) is 7.3166 at n = 48 and at
+        # n = 200: no node count helps, so "raise --n" alone would mislead
+        code = run(tmp_path, "gap", "--kernel", "sine-circle", "--ncirc", "3",
+                   "--interval", "0", "1", "--n", "48")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error [NearSingularError]" in err and "7.31658567634" in err
+        assert "not a correlation kernel on this interval" in err and "no n mends" in err
+        assert not list(tmp_path.iterdir())
 
     def test_determinant_past_rounding_level_writes_nothing(self, tmp_path, capsys):
         code = run(tmp_path, "det", "--kernel", "sine", "--t", "1",

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmedge import hardedge, linop, marchenko, painleve
 from rmedge.errors import NearSingularError, ResolutionError, TruncationError
@@ -10,8 +12,8 @@ from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             bessel_log_symbol_kernel, hankel_symbol_kernel,
                             kernel_eval, kernel_matrix, sine_kernel)
 from rmedge.linop import (DiscretizedOp, LogDet, Spectrum, checked_log_det, discretize,
-                          fredholm_det, gap_probs, log_det, nystrom, operator_square,
-                          refined_log_det, sym_eigen)
+                          fredholm_det, gap_probs, log_det, nystrom, refined_log_det,
+                          sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -380,25 +382,25 @@ class TestGapProbs:
     def test_single_eigenvalue(self):
         rule = gauss_legendre(1, 0.0, 1.0)
         op = DiscretizedOp(rule=rule, matrix=np.array([[0.3]]))
-        g = gap_probs(op, 2)
+        g = gap_probs(sym_eigen(op), 2)
         assert np.allclose(g.probs, [0.7, 0.3, 0.0], atol=1e-15)
 
     def test_total_probability(self):
         op = discretize(sine_kernel(1.0), (0.0, 1.0), 48)
-        g = gap_probs(op, 48)
+        g = gap_probs(sym_eigen(op), 48)
         assert abs(g.probs.sum() - 1.0) < 1e-10
         assert g.probs.min() > -1e-9
 
     def test_airy_square_total_probability(self):
-        op = operator_square(discretize(airy_symbol_kernel(), (0.0, math.inf), 48))
-        g = gap_probs(op, 48)
+        gamma = sym_eigen(discretize(airy_symbol_kernel(), (0.0, math.inf), 48))
+        g = gap_probs(gamma, 48, squared=True)
         assert abs(g.probs.sum() - 1.0) < 1e-10
         assert g.probs.min() > -1e-9
 
     def test_matches_numerical_z_derivatives(self):
         # polynomial fit of det(I - zK) around z = 1, derivatives at 1
         op = discretize(sine_kernel(1.0), (0.0, 1.0), 48)
-        g = gap_probs(op, 3)
+        g = gap_probs(sym_eigen(op), 3)
         zs = np.linspace(0.4, 1.6, 25)
         dets = np.array([fredholm_det(op, z) for z in zs])
         coef = np.polynomial.polynomial.polyfit(zs - 1.0, dets, 12)
@@ -421,23 +423,43 @@ class TestGapProbs:
             for k in range(min(kmax, len(mu)), 0, -1):
                 e[k] += m * e[k - 1]
         want = float(np.prod(1.0 - lam)) * e
-        assert np.array_equal(gap_probs(op, kmax).probs, want)
+        assert np.array_equal(gap_probs(sym_eigen(op), kmax).probs, want)
 
     def test_near_singular_eigenvalue_reported(self):
         rule = gauss_legendre(2, 0.0, 1.0)
         op = DiscretizedOp(rule=rule,
                            matrix=np.diag([1.0 - 1e-9, 0.2]), kernel_tag="toy")
         with pytest.raises(NearSingularError) as err:
-            gap_probs(op, 2)
+            gap_probs(sym_eigen(op), 2)
         assert "0.999999999" in str(err.value)
 
     def test_eigenvalue_above_one_names_the_bound(self):
         # an under-resolved interval: the top eigenvalue is 1.46, not near 1
         op = discretize(sine_kernel(1.5), (0.0, 6.0), 12)
         with pytest.raises(NearSingularError) as err:
-            gap_probs(op, 2)
+            gap_probs(sym_eigen(op), 2)
         assert "1.46" in str(err.value) and ">= 1 - 1e-8" in str(err.value)
         assert "--n" in str(err.value)
+
+    @pytest.mark.parametrize("alpha,kmax", [(0.0, 7), (1.0, 6)])
+    def test_airy_square_converges_in_n(self, alpha, kmax):
+        # E(k) from mu^2 at n = 100 against n = 200 (4.2e-9 and 2.5e-9 at worst;
+        # 9.9e-8 at alpha = 1, k = 7).  Eigenvalues of the squared Nystrom matrix
+        # at n = 100 were 219% (alpha = 0) and 1100% (alpha = 1) off at k = 7.
+        spec = airy_symbol_kernel(shift=alpha)
+        e100, e200 = (gap_probs(sym_eigen(discretize(spec, (0.0, math.inf), n)), kmax,
+                                squared=True).probs for n in (100, 200))
+        assert np.all(np.abs(e100 / e200 - 1.0) <= 1e-8)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(-3.0, 3.0))
+def test_airy_square_gap_probs_are_a_distribution(alpha):
+    # lam = mu^2 >= 0 makes every term of the recurrence nonnegative
+    gamma = sym_eigen(discretize(airy_symbol_kernel(shift=alpha), (0.0, math.inf), 60))
+    probs = gap_probs(gamma, 40, squared=True).probs
+    assert probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) <= 1e-10
 
 
 def test_spectral_equality_of_compressed_products():

@@ -32,8 +32,9 @@ REFUSALS = {
     "op-wrong-shape": (lambda: _op(np.eye(3)), "size must match"),
     "op-nan-entry": (lambda: _op(np.array([[1.0, np.nan], [np.nan, 1.0]])),
                      "must be finite"),
-    "gap-probs-negative-kmax": (lambda: linop.gap_probs(_op(0.1 * np.eye(2)), -1),
-                                "kmax must be nonnegative"),
+    "gap-probs-negative-kmax": (
+        lambda: linop.gap_probs(linop.sym_eigen(_op(0.1 * np.eye(2))), -1),
+        "kmax must be nonnegative"),
     "bessel-log-order": (lambda: kernels.bessel_log_symbol_kernel(-0.5),
                          "order must exceed -1/2"),
     "u-nu-order": (lambda: hardedge.u_nu_eval(-0.5, 1.0), "order must exceed -1/2"),
