@@ -49,6 +49,7 @@ from .hardedge import (
     HardEdgeConfig,
     bessel_det_identity,
     g_involution_check,
+    hankel_involution_check,
     hankel_transform,
     phi_eigen_correspondence,
     u_nu_eval,

@@ -227,15 +227,8 @@ def _bin_averages(density, bins):
 
 
 def _hankel_involution():
-    worst = 0.0
-    for nu in (0.5, 1.5):
-        def f(y, nu=nu):
-            return y ** nu * np.exp(-y * y)
-        x1, v1 = hardedge.hankel_transform(f, nu, 12.0)
-        from scipy.interpolate import CubicSpline
-        spline = CubicSpline(x1, v1)
-        _, v2 = hardedge.hankel_transform(lambda y: spline(y), nu, 12.0)
-        worst = max(worst, float(np.abs(v2 - f(x1)).max()))
+    worst = max(hardedge.hankel_involution_check(nu, [lambda y: y ** nu * np.exp(-y * y)])
+                for nu in (0.5, 1.5))
     grid = np.linspace(-10.0, 10.0, 50)
     u_dev = 0.0
     for nu in (0.3, 1.0):

@@ -13,8 +13,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import TruncationError
-from .kernels import (KernelSpec, bessel_hard_kernel, bessel_log_symbol_kernel,
-                      qbessel_kernel, symmetric_grid)
+from .kernels import KernelSpec, bessel_hard_kernel, bessel_log_symbol_kernel, symmetric_grid
 from .linop import discretize, fredholm_det
 from .specfun import (bessel_jv, gauss_legendre, gauss_legendre_sqrt, log_gamma_complex,
                       panel_rule)
@@ -22,12 +21,12 @@ from .specfun import (bessel_jv, gauss_legendre, gauss_legendre_sqrt, log_gamma_
 __all__ = [
     "HardEdgeConfig",
     "hankel_transform",
+    "hankel_involution_check",
     "apply_g",
     "g_involution_check",
     "bessel_det_identity",
     "phi_eigen_correspondence",
     "u_nu_eval",
-    "q_projection_defect",
 ]
 
 @dataclass(frozen=True)
@@ -48,27 +47,38 @@ class HardEdgeConfig:
         return -0.5 * math.log(self.a)
 
 
-def hankel_transform(f, nu, cutoff, x_out=None, n=400):
-    """Transform int_0^cutoff J_nu(x y) f(y) y dy on the output grid.
-
-    ``f`` is a vectorized callable sampled at the quadrature nodes; it must
-    have decayed by the cutoff, otherwise the truncated transform is wrong.
-    Returns (x_out, values); by default x_out is the quadrature grid itself,
-    so a second call computes the double transform.
-    """
-    rule = gauss_legendre(n, 0.0, float(cutoff))
+def _weighted(fy, rule):
+    # f(y) y dy on the rule; the truncated transform is wrong unless f has decayed
     y = rule.nodes
-    fy = np.asarray(f(y), dtype=float)
     scale = np.max(np.abs(fy)) or 1.0
-    edge = np.max(np.abs(fy[y > 0.97 * cutoff]))
+    edge = np.max(np.abs(fy[y > 0.97 * rule.interval[1]]))
     if edge > 1e-10 * scale:
         raise TruncationError(
-            f"test function has not decayed at the cutoff ({edge:.2e} of scale)")
-    fw = fy * y * rule.weights
-    if x_out is None:
-        return y, symmetric_grid(lambda a, b: _sp.jv(nu, a * b), y) @ fw
-    x_out = np.asarray(x_out, dtype=float)
-    return x_out, _sp.jv(nu, x_out[:, None] * y[None, :]) @ fw
+            f"function has not decayed at the cutoff ({edge:.2e} of scale)")
+    return fy * y * rule.weights
+
+
+def hankel_transform(f, nu, cutoff, n=400):
+    """Transform int_0^cutoff J_nu(x y) f(y) y dy on the n Gauss-Legendre nodes
+    of (0, cutoff), where the vectorized ``f`` must have decayed by the cutoff.
+    Returns (nodes, values)."""
+    rule = gauss_legendre(n, 0.0, float(cutoff))
+    y = rule.nodes
+    fw = _weighted(np.asarray(f(y), dtype=float), rule)
+    return y, symmetric_grid(lambda a, b: _sp.jv(nu, a * b), y) @ fw
+
+
+def hankel_involution_check(nu, test_functions):
+    """Max deviation of H(H f) from f on the 400 Gauss-Legendre nodes of (0, 12),
+    one J_nu(y_i y_j) grid applied twice; f and H f must each have decayed by 12."""
+    rule = gauss_legendre(400, 0.0, 12.0)
+    grid = symmetric_grid(lambda a, b: _sp.jv(nu, a * b), rule.nodes)
+    worst = 0.0
+    for f in test_functions:
+        fy = np.asarray(f(rule.nodes), dtype=float)
+        hhf = grid @ _weighted(grid @ _weighted(fy, rule), rule)
+        worst = max(worst, float(np.abs(hhf - fy).max()))
+    return worst
 
 
 def _panel_grid(y_lo, y_hi, width):
@@ -220,13 +230,3 @@ def u_nu_eval(nu, x):
     lg_den = log_gamma_complex(complex(0.5 * (1.0 + nu), -0.5 * x))
     return complex(np.exp(1j * x * math.log(2.0) + lg_num - lg_den))
 
-
-def q_projection_defect(nu, ell, box, n):
-    """Frobenius defect |Q^2 - Q| of the discretized hard-edge projection.
-
-    The compression to a finite box breaks exact idempotence, so the defect
-    is meaningful only as a refinement trend, not an absolute tolerance.
-    """
-    op = discretize(qbessel_kernel(nu, ell), box, n)
-    M = op.matrix
-    return float(np.linalg.norm(M @ M - M) / np.linalg.norm(M))

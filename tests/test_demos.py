@@ -11,6 +11,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 # demo -> the start of the last line it prints
 LAST_LINES = {
     "demo_gap_probabilities": "n = 128: det =",
+    "demo_hard_edge": "  |u_0.3(8.0)| =",
     "demo_monte_carlo": "(the k=0 row estimates",
 }
 

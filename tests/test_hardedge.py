@@ -5,15 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import special
-from scipy.interpolate import CubicSpline
 
 from rmedge import hardedge
 from rmedge.errors import TruncationError
 from rmedge.hardedge import (HardEdgeConfig, apply_g, bessel_det_identity,
-                             g_involution_check, hankel_transform,
-                             phi_eigen_correspondence, q_projection_defect,
-                             u_nu_eval)
-from rmedge.kernels import symmetric_grid
+                             g_involution_check, hankel_involution_check,
+                             hankel_transform, phi_eigen_correspondence, u_nu_eval)
+from rmedge.kernels import qbessel_kernel, symmetric_grid
+from rmedge.linop import discretize
 from rmedge.specfun import bessel_j, gauss_legendre
 
 
@@ -33,10 +32,15 @@ class TestHankelTransform:
     def test_involution_on_gaussian_type(self, nu):
         def f(y):
             return y ** nu * np.exp(-y * y)
-        x1, v1 = hankel_transform(f, nu, 12.0)
-        spline = CubicSpline(x1, v1)
-        _, v2 = hankel_transform(lambda y: spline(y), nu, 12.0)
-        assert np.abs(v2 - f(x1)).max() < 1e-7
+        assert hankel_involution_check(nu, [f]) < 1e-7
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_involution_check_is_two_transforms(self, nu):
+        def f(y):
+            return y ** nu * np.exp(-y * y)
+        y, hf = hankel_transform(f, nu, 12.0)
+        _, hhf = hankel_transform(lambda _: hf, nu, 12.0)
+        assert hankel_involution_check(nu, [f]) == np.abs(hhf - f(y)).max()
 
     def test_half_order_reduces_to_sine_transform(self):
         # J_{1/2}(xy) = sqrt(2/(pi x y)) sin(xy); for f = y^{1/2} e^{-y^2} the
@@ -49,6 +53,19 @@ class TestHankelTransform:
     def test_insufficient_decay_raises(self):
         with pytest.raises(TruncationError):
             hankel_transform(lambda y: np.exp(-0.01 * y), 0.5, 10.0)
+        with pytest.raises(TruncationError):
+            hankel_involution_check(0.5, [lambda y: np.exp(-0.01 * y)])
+
+    def test_involution_check_refuses_a_transform_that_has_not_decayed(self):
+        # f = y^nu e^{-a y^2} has decayed by 12, but H f = x^nu e^{-x^2/(4a)}/(2a)^{nu+1}
+        # with a = 1/0.09 still holds 11% of its scale there
+        nu = 0.5
+
+        def f(y):
+            return y ** nu * np.exp(-y * y / 0.09)
+        hankel_transform(f, nu, 12.0)
+        with pytest.raises(TruncationError):
+            hankel_involution_check(nu, [f])
 
     @pytest.mark.parametrize("nu", [0.5, 1.5])
     def test_default_grid_evaluates_each_pair_once(self, monkeypatch, nu):
@@ -63,14 +80,28 @@ class TestHankelTransform:
             return y ** nu * np.exp(-y * y)
 
         n, cutoff = 120, 12.0
-        y = gauss_legendre(n, 0.0, cutoff).nodes
-        _, rect = hankel_transform(f, nu, cutoff, x_out=y, n=n)
+        rule = gauss_legendre(n, 0.0, cutoff)
+        y = rule.nodes
+        rect = special.jv(nu, y[:, None] * y[None, :]) @ (f(y) * y * rule.weights)
         monkeypatch.setattr(hardedge, "_sp", SimpleNamespace(jv=jv))
         x, v = hankel_transform(f, nu, cutoff, n=n)
         assert points == [n * (n + 1) // 2]
         assert np.array_equal(x, y) and np.array_equal(v, rect)
         grid = symmetric_grid(lambda a, b: special.jv(nu, a * b), y)
         assert np.array_equal(grid, special.jv(nu, y[:, None] * y[None, :]))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_involution_check_builds_one_grid(self, monkeypatch, nu):
+        # H(H f) applies one J_nu(y_i y_j) grid twice: 400 * 401 / 2 points
+        points = []
+
+        def jv(order, x):
+            points.append(np.size(x))
+            return special.jv(order, x)
+
+        monkeypatch.setattr(hardedge, "_sp", SimpleNamespace(jv=jv))
+        hankel_involution_check(nu, [lambda y: y ** nu * np.exp(-y * y)])
+        assert points == [80200]
 
 
 class TestGInvolution:
@@ -182,9 +213,12 @@ def test_hilbert_schmidt_substitution_identity():
 
 
 def test_projection_defect_shrinks_under_refinement():
-    defects = [q_projection_defect(0.5, 0.0, box, n)
-               for box, n in [((-1.0, 8.0), 30), ((-1.5, 10.0), 60),
-                              ((-2.0, 12.0), 120)]]
+    # ||M^2 - M|| / ||M|| of the discretized hard-edge projection: compression
+    # to a finite box breaks idempotence, so only the refinement trend counts
+    defects = []
+    for box, n in [((-1.0, 8.0), 30), ((-1.5, 10.0), 60), ((-2.0, 12.0), 120)]:
+        M = discretize(qbessel_kernel(0.5, 0.0), box, n).matrix
+        defects.append(np.linalg.norm(M @ M - M) / np.linalg.norm(M))
     assert defects[1] < defects[0]
     assert defects[2] < defects[1]
 

@@ -2,7 +2,8 @@
 
 scipy.integrate (with scipy.linalg, scipy.optimize and scipy.sparse) and
 scipy.interpolate load at the first call that needs them, so the short
-commands never pay for them.  Each check runs in a fresh interpreter.
+commands never pay for them; only ``g_involution_check`` loads
+scipy.interpolate.  Each check runs in a fresh interpreter.
 """
 import json
 import os
@@ -47,3 +48,10 @@ def test_readme_det_gap_hardedge_never_load_the_ode_solver(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "det.json", "det.json.manifest.json", "gap.csv", "gap.csv.manifest.json",
         "hardedge.json", "hardedge.json.manifest.json"]
+
+
+def test_hankel_involution_criterion_loads_no_interpolation(tmp_path):
+    code = ("from rmedge.acceptance import CRITERIA\n"
+            "ok, _ = next(c[2] for c in CRITERIA if c[0] == 10)()\n"
+            "assert ok\n")
+    assert "scipy.interpolate" not in deferred_loaded_after(code, tmp_path)
