@@ -52,7 +52,8 @@ class KernelSpec:
     set) it maps (x, A(x), B(x)) to the diagonal, so that assembly reuses the
     values at the nodes.  A spec without ``diag`` is regular on its diagonal
     and evaluated there by ``evaluator``.  ``rule`` maps (n, lo, hi) to the
-    QuadRule that discretizes the kernel; None means Gauss-Legendre.
+    QuadRule that discretizes the kernel; None means Gauss-Legendre.  A stack of
+    kernels has list params and a leading member axis; ``members`` picks a sub-stack.
     """
 
     family: str
@@ -65,19 +66,25 @@ class KernelSpec:
     ab: Optional[Callable] = field(default=None, repr=False)
     denom: Optional[Callable] = field(default=None, repr=False)
     rule: Optional[Callable] = field(default=None, repr=False)
+    members: Optional[Callable] = field(default=None, repr=False)
+
+    @property
+    def size(self):  # the number of members of a stack; None for a single kernel
+        return None if self.members is None else np.size(next(iter(self.params.values())))
 
     @property
     def tag(self):
         if not self.params:
             return self.family
-        inner = ",".join(f"{k}={v:g}" for k, v in self.params.items())
+        inner = ",".join(f"{k}=" + ("|".join(map("{:g}".format, v)) if isinstance(v, list)
+                                    else f"{v:g}") for k, v in self.params.items())
         return f"{self.family}({inner})"
 
-
-def _diagonal(spec, x):
-    if spec.diag is None:
-        return spec.evaluator(x, x)
-    return spec.diag(x, *spec.ab(x)) if spec.ab else spec.diag(x)
+    def diagonal(self, x):
+        """K(x, x), from ``diag`` where the kernel has one."""
+        if self.diag is None:
+            return self.evaluator(x, x)
+        return self.diag(x, *self.ab(x)) if self.ab else self.diag(x)
 
 
 def _check_domain(spec, *points):
@@ -101,7 +108,7 @@ def kernel_eval(spec, x, y):
     x, y, near = np.broadcast_arrays(x, y, near)
     far = ~near
     out = np.empty(near.shape)
-    out[near] = _diagonal(spec, 0.5 * (x[near] + y[near]))
+    out[near] = spec.diagonal(0.5 * (x[near] + y[near]))
     if np.any(far):
         out[far] = spec.evaluator(x[far], y[far])
     return out if out.shape else float(out)
@@ -125,7 +132,7 @@ def kernel_matrix(spec, nodes):
         K /= np.where(near, 1.0, g[:, None] - g[None, :])
         i, j = np.nonzero(near & ~np.eye(nodes.size, dtype=bool))
         if i.size:
-            K[i, j] = _diagonal(spec, 0.5 * (nodes[i] + nodes[j]))
+            K[i, j] = spec.diagonal(0.5 * (nodes[i] + nodes[j]))
         np.fill_diagonal(K, spec.diag(nodes, a, b))
         return K
     if spec.symbol is None:
@@ -143,8 +150,9 @@ def _upper_triangle(n):
 def symmetric_grid(f, nodes):
     """f(x_i, x_j) for a symmetric vectorized f, once per unordered pair, mirrored."""
     i, j = _upper_triangle(nodes.size)
-    K = np.empty((nodes.size, nodes.size))
-    K[i, j] = K[j, i] = f(nodes[i], nodes[j])
+    values = f(nodes[i], nodes[j])
+    K = np.empty(values.shape[:-1] + (nodes.size, nodes.size))
+    K[..., i, j] = K[..., j, i] = values
     return K
 
 
@@ -244,16 +252,18 @@ def bessel_hard_kernel(nu):
 
 def airy_symbol_kernel(shift=0.0):
     """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator,
-    cut where its argument reaches 8 (Ai(8) = 4.7e-8) and not before 14."""
-    shift = float(shift)
-    if not math.isfinite(shift):
+    cut where its argument reaches 8 (Ai(8) = 4.7e-8) and not before 14.  A 1-D
+    array of shifts with one cut gives their stack, read in one Airy call."""
+    shifts = np.array(shift, dtype=float)
+    if not np.isfinite(shifts).all():
         raise ValueError(f"shift must be finite, got {shift}")
-
-    def sym(s):
-        return airy_ai(shift + np.asarray(s, dtype=float))
-
-    return hankel_symbol_kernel(sym, max(14.0, 8.0 - shift), "airy_symbol",
-                                {"shift": shift})
+    cuts = np.maximum(14.0, 8.0 - shifts).ravel()
+    if shifts.ndim and (shifts.ndim > 1 or not cuts.size or cuts.min() != cuts.max()):
+        raise ValueError("a stack of shifts must be a nonempty 1-D array with one cut")
+    spec = hankel_symbol_kernel(lambda s: airy_ai(np.add.outer(shifts, s)), cuts[0],
+                                "airy_symbol", {"shift": shifts.tolist()})
+    return spec if not shifts.ndim else replace(
+        spec, members=lambda keep: airy_symbol_kernel(shifts[keep]))
 
 
 def bessel_log_symbol_kernel(nu, ell=0.0):

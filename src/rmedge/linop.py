@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearSingularError, ResolutionError, TruncationError
-from .kernels import kernel_eval, kernel_matrix
+from .kernels import kernel_matrix
 from .specfun import QuadRule, gauss_legendre
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "sym_eigen",
     "log_det",
     "checked_log_det",
+    "stacked_log_det",
     "refined_log_det",
     "fredholm_det",
     "gap_probs",
@@ -43,7 +44,7 @@ class DiscretizedOp:
     kernel_tag: str = "custom"
 
     def __post_init__(self):
-        if self.matrix.shape != (len(self.rule), len(self.rule)):
+        if self.matrix.shape[-2:] != (len(self.rule), len(self.rule)):
             raise ValueError("matrix size must match the quadrature rule")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("matrix entries must be finite")
@@ -58,7 +59,7 @@ class DiscretizedOp:
 
 @dataclass(frozen=True)
 class Spectrum:
-    eigenvalues: np.ndarray  # sorted descending
+    eigenvalues: np.ndarray  # sorted descending along the last axis
     rule_size: int
     kernel_tag: str
 
@@ -89,9 +90,9 @@ def _truncate(spec, lo, hi):
             raise ValueError(
                 f"kernel {spec.family!r} has no registered truncation length")
         hi = lo + spec.tail_length
-        # the dropped tail must not contribute to the trace
+        # the dropped tail must not contribute to the trace of any member
         probe = gauss_legendre(8, hi, hi + 6.0)
-        tail = probe.integrate(np.abs(kernel_eval(spec, probe.nodes, probe.nodes)))
+        tail = np.max(np.abs(spec.diagonal(probe.nodes)) @ probe.weights)
         if tail > 1e-12:
             raise TruncationError(
                 f"trace tail beyond {hi:g} is ~{tail:.2e} > 1e-12 for {spec.tag}")
@@ -101,8 +102,10 @@ def _truncate(spec, lo, hi):
 def nystrom(rule, K, kernel_tag="custom"):
     """The operator with kernel matrix K on a rule: sqrt(w) K sqrt(w), symmetrized."""
     sw = np.sqrt(rule.weights)
-    M = sw[:, None] * K * sw[None, :]
-    return DiscretizedOp(rule=rule, matrix=0.5 * (M + M.T), kernel_tag=kernel_tag)
+    M = sw[:, None] * K * sw
+    M = M + np.swapaxes(M, -1, -2)
+    M *= 0.5
+    return DiscretizedOp(rule=rule, matrix=M, kernel_tag=kernel_tag)
 
 
 def discretize(spec, interval, n):
@@ -120,22 +123,22 @@ def discretize(spec, interval, n):
 
 
 def sym_eigen(op):
-    """Eigenvalues of the discretized operator, sorted descending."""
+    """Eigenvalues of the discretized operator (a row per stack member), descending."""
     vals = np.linalg.eigvalsh(op.matrix)
-    return Spectrum(eigenvalues=vals[::-1].copy(), rule_size=len(op.rule),
+    return Spectrum(eigenvalues=vals[..., ::-1].copy(), rule_size=len(op.rule),
                     kernel_tag=op.kernel_tag)
 
 
 def log_det(eigenvalues, z):
     """(sign, log|det(I - z K)|) from the spectrum of K, as numpy.linalg.slogdet.
 
-    Sums log|1 - z lam|, through log1p where -z lam > -1 so that factors close
-    to 1 keep their relative accuracy; a zero factor gives (0, -inf).
+    Sums log|1 - z lam| on the last axis, through log1p where -z lam > -1 so that
+    factors close to 1 keep their relative accuracy; a zero factor gives (0, -inf).
     """
     x = -z * np.asarray(eigenvalues, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(x > -1.0, np.log1p(x), np.log(np.abs(1.0 + x)))
-    return float(np.prod(np.sign(1.0 + x))), float(np.sum(terms))
+    return np.prod(np.sign(1.0 + x), axis=-1), np.sum(terms, axis=-1)
 
 
 def _operator_spectrum(spectrum, squared):
@@ -153,19 +156,22 @@ def checked_log_det(spectrum, z, squared=False):
     computed spectrum of K, as a :class:`LogDet`.  Its eigenvalues mu are known to
     about n eps max|mu| (Weyl), so a factor with |1 - z lam| <= n eps |z| max|lam|
     has no sign: NearSingularError.  Above that level each factor moves log|det| by
-    at most n eps max|mu| |z| |d lam / d mu| / |1 - z lam| to first order."""
+    at most n eps max|mu| |z| |d lam / d mu| / |1 - z lam| to first order.  A
+    stacked spectrum gives a list, one LogDet per member, or refuses as a whole."""
     if not math.isfinite(z):
         raise ValueError(f"z must be finite, got z = {z}")
     mu = spectrum.eigenvalues
     lam, slope, tag = _operator_spectrum(spectrum, squared)
-    eps_n = lam.size * np.finfo(float).eps
-    closest = float(np.min(np.abs(1.0 - z * lam)))
-    weyl = float(eps_n * abs(z) * np.max(np.abs(lam)))
-    if closest <= weyl:
-        raise NearSingularError(f"min |1 - z lam| = {closest:.3g} of {tag} at "
+    eps_n = lam.shape[-1] * np.finfo(float).eps
+    gaps = np.abs(1.0 - z * lam)
+    closest = np.min(gaps, axis=-1)
+    weyl = eps_n * abs(z) * np.max(np.abs(lam), axis=-1)
+    if np.any(low := closest <= weyl):
+        raise NearSingularError(f"min |1 - z lam| = {np.min(closest[low]):.3g} of {tag} at "
                                 f"z = {z:g} is below the eigenvalue rounding level")
-    bound = eps_n * np.max(np.abs(mu)) * np.sum(abs(z) * slope / np.abs(1.0 - z * lam))
-    return LogDet(*log_det(lam, z), closest=closest, weyl=weyl, bound=float(bound))
+    bound = eps_n * np.max(np.abs(mu), axis=-1) * np.sum(abs(z) * slope / gaps, axis=-1)
+    fields = np.array([*log_det(lam, z), closest, weyl, bound]).T.tolist()
+    return LogDet(*fields) if mu.ndim == 1 else [LogDet(*f) for f in fields]
 
 
 def fredholm_det(op, z, squared=False):
@@ -176,6 +182,17 @@ def fredholm_det(op, z, squared=False):
 
 _FIRST_RUNG = 32
 _MAX_NODES = 400
+_STACK_BYTES = 2 << 20  # matrix bytes per stacked block: 71 shifts at 48 nodes fit
+
+
+def stacked_log_det(spec, interval, n, z, squared=False):
+    """:func:`checked_log_det` at n nodes of each member of a stack (of a single spec),
+    as a list; each block of at most _STACK_BYTES of matrix is one discretization."""
+    if spec.members is None:
+        return [checked_log_det(sym_eigen(discretize(spec, interval, n)), z, squared)]
+    step = max(1, _STACK_BYTES // (8 * max(n, 1) ** 2))
+    return [ld for i in range(0, spec.size, step) for ld in checked_log_det(
+        sym_eigen(discretize(spec.members(slice(i, i + step)), interval, n)), z, squared)]
 
 
 def refined_log_det(spec, interval, z, squared=False):
@@ -185,19 +202,25 @@ def refined_log_det(spec, interval, z, squared=False):
     once both have the same sign and their log|det| differ by at most
     max(1e-12 max(1, |L|), the sum of their rounding bounds).  Gauss-Legendre
     Nystrom error falls exponentially for analytic kernels (Bornemann 2010), so
-    two rungs bound it; a rung past 400 nodes raises ResolutionError.
+    two rungs bound it; a rung past 400 nodes raises ResolutionError.  A stack
+    climbs at once, each member leaving at its first settled pair: (nodes, [LogDet]).
     """
-    n = _FIRST_RUNG
-    coarse = checked_log_det(sym_eigen(discretize(spec, interval, n)), z, squared)
+    members, todo = spec.members or (lambda keep: spec), np.arange(spec.size or 1)
+    n, nodes, done = _FIRST_RUNG, np.zeros(todo.size, dtype=int), [None] * todo.size
+    coarse = stacked_log_det(members(todo), interval, n, z, squared)
     while (fine_n := math.ceil(1.5 * n)) <= _MAX_NODES:
-        fine = checked_log_det(sym_eigen(discretize(spec, interval, fine_n)), z, squared)
-        step = abs(fine.log_abs - coarse.log_abs)
-        if fine.sign == coarse.sign and step <= max(
-                1e-12 * max(1.0, abs(fine.log_abs)), coarse.bound + fine.bound):
-            return fine_n, fine
-        n, coarse = fine_n, fine
+        fine = stacked_log_det(members(todo), interval, fine_n, z, squared)
+        settled = np.array([f.sign == c.sign and abs(f.log_abs - c.log_abs) <= max(
+            1e-12 * max(1.0, abs(f.log_abs)), c.bound + f.bound)
+            for c, f in zip(coarse, fine)])
+        for k in np.flatnonzero(settled):
+            nodes[todo[k]], done[todo[k]] = fine_n, fine[k]
+        todo = todo[~settled]
+        if not todo.size:
+            return (nodes, done) if spec.members else (fine_n, done[0])
+        n, coarse = fine_n, [f for f, ok in zip(fine, settled) if not ok]
     raise ResolutionError(
-        f"log det of {spec.tag} at z = {z:g} has not settled at {n} nodes; the "
+        f"log det of {members(todo).tag} at z = {z:g} has not settled at {n} nodes; the "
         f"next rung, {fine_n}, passes the cap of {_MAX_NODES}")
 
 

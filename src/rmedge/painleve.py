@@ -23,7 +23,7 @@ import numpy as np
 from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_kernel
-from .linop import discretize, fredholm_det, refined_log_det
+from .linop import refined_log_det, stacked_log_det
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -145,13 +145,16 @@ def tw_cdf_det(t, xs, n=100):
     if not 0.0 < t <= 1.0:
         raise ValueError("t must lie in (0, 1]")
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be a 1-D grid of shifts, got shape {xs.shape}")
+    cuts = np.array([airy_symbol_kernel(x).tail_length for x in xs.tolist()])
     F, nodes = np.empty_like(xs), np.empty(xs.shape, dtype=int)
-    for i, x in enumerate(xs):
-        spec = airy_symbol_kernel(shift=float(x))
+    for group in [cuts == cut for cut in dict.fromkeys(cuts.tolist())]:  # one stack per cut
+        spec = airy_symbol_kernel(xs[group])
         if n is None:
-            nodes[i], ld = refined_log_det(spec, (0.0, np.inf), t, squared=True)
-            F[i] = ld.value
+            nodes[group], lds = refined_log_det(spec, (0.0, np.inf), t, squared=True)
         else:
-            nodes[i], F[i] = n, fredholm_det(discretize(spec, (0.0, np.inf), n), t, squared=True)
+            nodes[group], lds = n, stacked_log_det(spec, (0.0, np.inf), n, t, squared=True)
+        F[group] = [ld.value for ld in lds]
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant",
                    nodes=nodes)

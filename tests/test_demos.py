@@ -13,6 +13,7 @@ LAST_LINES = {
     "demo_gap_probabilities": "n = 128: det =",
     "demo_hard_edge": "  |u_0.3(8.0)| =",
     "demo_monte_carlo": "(the k=0 row estimates",
+    "demo_tracy_widom": "median-ish landmarks: F(-1.77; 1) =",
 }
 
 

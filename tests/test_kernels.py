@@ -375,3 +375,32 @@ def test_bulk_reproducing_property(w, w0):
     got = _reproducing_integral(a, w, w0)
     want = math.sin(a * (w - w0)) / (math.pi * (w - w0))
     assert abs(got - want) < 1e-8
+
+
+class TestAiryStack:
+    SHIFTS = np.array([-5.0, -0.3, 0.0, 2.5, 11.0])
+
+    def test_stack_matrix_is_each_members_matrix(self):
+        # one Airy call for the stack reads the points each member reads on its own
+        nodes = gauss_legendre(24, 0.0, 14.0).nodes
+        got = kernel_matrix(airy_symbol_kernel(self.SHIFTS), nodes)
+        want = np.stack([kernel_matrix(airy_symbol_kernel(x), nodes) for x in self.SHIFTS])
+        assert np.array_equal(got, want)
+
+    def test_members_and_tags(self):
+        stack = airy_symbol_kernel(self.SHIFTS)
+        assert stack.size == 5 and airy_symbol_kernel(0.0).size is None
+        assert stack.tail_length == 14.0
+        sub = stack.members(np.array([1, 3]))
+        assert sub.size == 2 and sub.params["shift"] == [-0.3, 2.5]
+        # a stack of one reads as its member
+        assert stack.members(slice(0, 1)).tag == airy_symbol_kernel(-5.0).tag
+
+    @pytest.mark.parametrize("shifts", [[-8.0, 0.0], [], [[0.0]]], ids=str)
+    def test_stack_needs_one_cut_on_a_1d_array(self, shifts):
+        with pytest.raises(ValueError, match="one cut"):
+            airy_symbol_kernel(np.array(shifts))
+
+    def test_stack_refuses_a_non_finite_shift(self):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            airy_symbol_kernel(np.array([0.0, np.nan]))

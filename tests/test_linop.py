@@ -13,7 +13,7 @@ from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             kernel_eval, kernel_matrix, sine_kernel)
 from rmedge.linop import (DiscretizedOp, LogDet, Spectrum, checked_log_det, discretize,
                           fredholm_det, gap_probs, log_det, nystrom, refined_log_det,
-                          sym_eigen)
+                          stacked_log_det, sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -355,6 +355,68 @@ class TestRefinedLogDet:
     def test_near_singular_rung_propagates(self):
         with pytest.raises(NearSingularError, match="rounding level"):
             refined_log_det(airy_symbol_kernel(shift=-12.0), (0.0, math.inf), 1.0,
+                            squared=True)
+
+
+class TestStack:
+    SHIFTS = [-4.0, -1.0, 0.0, 1.5]
+
+    def test_stacked_log_det_is_each_members_log_det(self):
+        got = stacked_log_det(airy_symbol_kernel(np.array(self.SHIFTS)), (0.0, math.inf),
+                              48, 0.7, squared=True)
+        want = [checked_log_det(sym_eigen(discretize(airy_symbol_kernel(x),
+                                                     (0.0, math.inf), 48)), 0.7, squared=True)
+                for x in self.SHIFTS]
+        assert got == want
+
+    def test_nystrom_and_sym_eigen_take_the_last_two_axes(self):
+        rule = gauss_legendre(6, 0.0, 1.0)
+        K = np.random.default_rng(3).normal(size=(3, 6, 6))
+        stack = nystrom(rule, K)
+        assert all(np.array_equal(stack.matrix[k], nystrom(rule, K[k]).matrix)
+                   for k in range(3))
+        vals = sym_eigen(stack).eigenvalues
+        assert vals.shape == (3, 6)
+        assert all(np.array_equal(vals[k], sym_eigen(nystrom(rule, K[k])).eigenvalues)
+                   for k in range(3))
+
+    def test_a_near_singular_member_refuses_the_stack(self):
+        spectrum = Spectrum(eigenvalues=np.array([[0.5, 0.1], [1.0, 0.5]]), rule_size=2,
+                            kernel_tag="toy")
+        with pytest.raises(NearSingularError, match=r"= 0 of \(toy\)\^2 at z = 1"):
+            checked_log_det(spectrum, 1.0, squared=True)
+
+    def test_each_member_keeps_its_own_first_settled_pair(self, monkeypatch):
+        # the sign of member 0 flips at 32 nodes: it settles at 72 and member 1 at
+        # 48, and only member 0 climbs to 72
+        checked, sym_eigen_ = linop.checked_log_det, linop.sym_eigen
+        shapes = []
+
+        def flipped(spectrum, z, squared=False):
+            lds = checked(spectrum, z, squared)
+            if spectrum.rule_size == 32:
+                lds[0] = replace(lds[0], sign=-lds[0].sign)
+            return lds
+
+        def counted(op):
+            shapes.append(op.matrix.shape[:-1])
+            return sym_eigen_(op)
+
+        monkeypatch.setattr(linop, "checked_log_det", flipped)
+        monkeypatch.setattr(linop, "sym_eigen", counted)
+        nodes, lds = refined_log_det(airy_symbol_kernel(np.array([0.0, 1.0])),
+                                     (0.0, math.inf), 1.0, squared=True)
+        assert nodes.tolist() == [72, 48]
+        assert shapes == [(2, 32), (2, 48), (1, 72)]
+        monkeypatch.undo()
+        for x, n, ld in zip([0.0, 1.0], nodes, lds):
+            op = discretize(airy_symbol_kernel(x), (0.0, math.inf), n)
+            assert ld == checked_log_det(sym_eigen(op), 1.0, squared=True)
+
+    def test_a_stack_past_its_cap_names_the_open_members(self, monkeypatch):
+        monkeypatch.setattr(linop, "_MAX_NODES", 40)
+        with pytest.raises(ResolutionError, match=r"airy_symbol\(shift=0\|1\)"):
+            refined_log_det(airy_symbol_kernel(np.array([0.0, 1.0])), (0.0, math.inf), 1.0,
                             squared=True)
 
 

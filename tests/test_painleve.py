@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rmedge import kernels, painleve, specfun
+from rmedge import kernels, linop, painleve, specfun
 from rmedge.errors import NearSingularError
+from rmedge.kernels import airy_symbol_kernel
+from rmedge.linop import discretize, fredholm_det, refined_log_det
 from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
 from rmedge.specfun import airy, airy_ai, gauss_legendre
 
@@ -231,6 +233,72 @@ class TestChosenNodes:
         # the stopping rule end the ladder before the cap
         got = tw_cdf_det(1.0, [-10.0, -8.0], n=None)
         assert got.nodes.tolist() == [72, 48]
+
+
+class TestStackedRoute:
+    MIXED = np.array([-10.0, -8.0, -6.5, -5.0, 0.0, 3.0])
+    UNSORTED = np.array([1.0, -3.0, -8.0, 0.5, -6.5, 2.0, -3.0])
+
+    @staticmethod
+    def one_shift_at_a_time(t, xs, n):
+        if n is None:
+            return [refined_log_det(airy_symbol_kernel(x), (0.0, math.inf), t,
+                                    squared=True)[1].value for x in xs]
+        return [fredholm_det(discretize(airy_symbol_kernel(x), (0.0, math.inf), n), t,
+                             squared=True) for x in xs]
+
+    @pytest.mark.parametrize("n", [None, 100])
+    @pytest.mark.parametrize("t,grid", [(0.5, "README"), (1.0, "README"), (1.0, "MIXED"),
+                                        (0.9, "UNSORTED")])
+    def test_bit_identical_to_one_shift_at_a_time(self, t, grid, n):
+        # the stacks read the Airy symbol at the same points, so every value keeps
+        # its bits, in the order of the input grid
+        xs = README_GRID if grid == "README" else getattr(self, grid)
+        got = tw_cdf_det(t, xs, n=n)
+        assert np.array_equal(got.F_values, self.one_shift_at_a_time(t, xs, n))
+        assert np.array_equal(got.xs, xs)
+
+    def test_mixed_grid_stops_where_each_shift_does(self):
+        got = tw_cdf_det(1.0, self.MIXED, n=None)
+        assert got.nodes.tolist() == [72, 48, 48, 48, 48, 48]
+
+    def test_one_table_makes_one_eigensolve_per_rung(self, monkeypatch):
+        # 71 shifts share the cut at 14: one stacked eigensolve at 32 nodes and one
+        # at 48, where one per shift and rung made 142; the Airy points are the same
+        shapes, points = [], []
+        sym_eigen = linop.sym_eigen
+
+        def counted_eigen(op):
+            spectrum = sym_eigen(op)
+            shapes.append(spectrum.eigenvalues.shape)
+            return spectrum
+
+        def counted_airy(x):
+            points.append(np.size(x))
+            return airy_ai(x)
+
+        monkeypatch.setattr(linop, "sym_eigen", counted_eigen)
+        monkeypatch.setattr(kernels, "airy_ai", counted_airy)
+        tw_cdf_det(1.0, README_GRID, n=None)
+        assert shapes == [(71, 32), (71, 48)]
+        assert sum(points) == 122120
+
+    @pytest.mark.parametrize("n,want", [(100, [(26, 100), (26, 100), (19, 100)]),
+                                        (400, [(1, 400)] * 3)])
+    def test_a_stack_holds_a_bounded_matrix(self, monkeypatch, n, want):
+        # at most ~2 MB of matrix per stack: 26 shifts at 100 nodes, one at 400
+        shapes = []
+        sym_eigen = linop.sym_eigen
+
+        def counted(op):
+            assert op.matrix.nbytes <= linop._STACK_BYTES
+            shapes.append(op.matrix.shape[:-1])
+            return sym_eigen(op)
+
+        monkeypatch.setattr(linop, "sym_eigen", counted)
+        xs = README_GRID if n == 100 else np.array([-2.0, 0.0, 1.5])
+        tw_cdf_det(1.0, xs, n=n)
+        assert shapes == want
 
 
 def test_second_derivative_identity():

@@ -6,6 +6,7 @@ import pytest
 
 from rmedge import (ensembles, hardedge, hill, kernels, linop, marchenko, painleve, specfun,
                     twfactor)
+from rmedge.errors import NearSingularError
 
 
 def _op(matrix):
@@ -49,6 +50,16 @@ REFUSALS = {
     "sine-t0": (lambda: kernels.sine_kernel(0), "needs t > 0"),
     "sine-circle-fractional-n": (lambda: kernels.sine_circle_kernel(2.5), "positive integer"),
     "tw-cdf-det-t-above-1": (lambda: painleve.tw_cdf_det(1.5, [0.0]), "t must lie in (0, 1]"),
+    # the t check comes first, then the grid, before any work
+    "tw-cdf-det-t-before-grid": (lambda: painleve.tw_cdf_det(1.5, [[0.0]]),
+                                 "t must lie in (0, 1]"),
+    "tw-cdf-det-2d-grid": (lambda: painleve.tw_cdf_det(1.0, [[0.0]]),
+                           "xs must be a 1-D grid"),
+    "tw-cdf-det-scalar-grid": (lambda: painleve.tw_cdf_det(1.0, 0.5), "xs must be a 1-D grid"),
+    "tw-cdf-det-shift-nan": (lambda: painleve.tw_cdf_det(1.0, [0.0, np.nan]),
+                             "shift must be finite"),
+    "airy-symbol-stack-two-cuts": (lambda: kernels.airy_symbol_kernel(np.array([-8.0, 0.0])),
+                                   "one cut"),
     "airy-symbol-shift-minus-inf": (lambda: kernels.airy_symbol_kernel(-np.inf),
                                     "shift must be finite"),
     "airy-symbol-shift-inf": (lambda: kernels.airy_symbol_kernel(np.inf),
@@ -109,3 +120,10 @@ def test_non_finite_ode_input_refused_before_integrating(call, message, deadline
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         call()
     assert info.type is ValueError
+
+
+@pytest.mark.parametrize("n", [None, 100])
+def test_tw_grid_holding_a_shift_past_the_rounding_level_is_refused(n):
+    # x = -12 at t = 1 refuses on its own; among other shifts its stack still does
+    with pytest.raises(NearSingularError, match=r"\(airy_symbol\(shift=-12\)\)\^2"):
+        painleve.tw_cdf_det(1.0, [0.0, -12.0, 1.0], n=n)
