@@ -106,8 +106,8 @@ def _cmd_tw(args, out):
         return (f"cached Tracy-Widom table -> {out}",
                 {"outputs": [out, cache], "cache": "hit", "det_nodes": None})
     xs = np.round(np.arange(args.xmin, args.xmax + args.step / 2, args.step), 12)
-    painleve_curve = painleve.tw_cdf(args.t, xs)
     det_curve = painleve.tw_cdf_det(args.t, xs, n=args.n)
+    painleve_curve = painleve.tw_cdf(args.t, xs)
     rows = [(x, fp, fd, abs(fp - fd), w) for x, fp, fd, w in
             zip(xs, painleve_curve.F_values, det_curve.F_values,
                 painleve_curve.w_values)]
@@ -137,7 +137,7 @@ def _cmd_hill(args, out):
     top = float(spectrum.lambdas[-1]) + 2.0
     scan = np.linspace(-abs(args.alpha) - 1.0, top, args.scan_points)
     rows += [("scan", lam, _fmt(delta))
-             for lam, delta in zip(scan, hill._discriminants_batch(args.alpha, scan))]
+             for lam, delta in zip(scan, hill.discriminant(hill.HillModel(args.alpha, scan)))]
     _write_csv(out, ["kind", "lambda", "tag_or_delta"], rows)
     return (f"{args.count} periodic eigenvalues + {args.scan_points} discriminant "
             f"samples -> {out}"), {}

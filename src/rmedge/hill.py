@@ -59,8 +59,11 @@ def monodromy(model):
 
 
 def discriminant(model):
-    """Delta(lambda) = trace S(pi)."""
-    return float(_discriminants_batch(model.alpha, [model.lam])[0])
+    """Delta(lambda) = trace S(pi); an array of lambdas gives an array, in one integration."""
+    s = _monodromy_batch(model.alpha, model.lam)
+    if np.ndim(model.lam) == 0:
+        return float(s[0, 0] + s[3, 0])
+    return s[0] + s[3]
 
 
 def _monodromy_batch(alpha, lams, x_end=math.pi):
@@ -86,17 +89,12 @@ def _monodromy_batch(alpha, lams, x_end=math.pi):
     return sol.y[:, -1].reshape(m, 4).T
 
 
-def _discriminants_batch(alpha, lams):
-    """Delta on a grid of spectral parameters through one stacked integration."""
-    s = _monodromy_batch(alpha, lams)
-    return s[0] + s[3]
-
-
 @dataclass(frozen=True)
 class PeriodicSpectrum:
     lambdas: np.ndarray
     period_tags: tuple  # "pi-periodic" or "2pi-periodic" per entry
     alpha: float
+    modes: tuple = field(default=(), repr=False, compare=False)  # _modes' (freqs, sine, coeffs)
 
 
 def _modes(alpha, count):
@@ -124,13 +122,6 @@ def _modes(alpha, count):
     return lams[order], [modes[i] for i in order]
 
 
-def _spectrum_entries(alpha, count):
-    lams, modes = _modes(alpha, count)
-    tags = tuple("2pi-periodic" if freqs[0] % 2 else "pi-periodic"
-                 for freqs, _, _ in modes)
-    return lams, tags
-
-
 def periodic_spectrum(alpha, count):
     """First ``count`` periodic eigenvalues with the interlacing multiplicity.
 
@@ -148,7 +139,7 @@ def periodic_spectrum(alpha, count):
         raise ValueError("count > 40 is outside the supported resolution")
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    lams, tags = _spectrum_entries(alpha, count)
+    lams, modes = _modes(alpha, count)
     s = _monodromy_batch(alpha, lams)
     miss = np.abs(np.abs(s[0] + s[3]) - 2.0)
     # Delta = s11 + s22 cancels entries as large as max|S(pi)|, each carrying
@@ -159,7 +150,9 @@ def periodic_spectrum(alpha, count):
         raise ResolutionError(
             f"eigenvalue {lams[worst]:.17g} at alpha = {alpha!r} fails the discriminant "
             f"certificate: ||Delta| - 2| = {miss[worst]:.3e} > {tol:.3g}")
-    return PeriodicSpectrum(lambdas=lams, period_tags=tags, alpha=float(alpha))
+    tags = tuple("2pi-periodic" if freqs[0] % 2 else "pi-periodic" for freqs, _, _ in modes)
+    return PeriodicSpectrum(lambdas=lams, period_tags=tags, alpha=float(alpha),
+                            modes=tuple(modes))
 
 
 def product_formula_check(alpha, lam, n_terms, spectrum=None):
@@ -174,7 +167,7 @@ def product_formula_check(alpha, lam, n_terms, spectrum=None):
     so the gap shrinks as terms are added.
     """
     if spectrum is None:
-        ev = _spectrum_entries(alpha, 2 * n_terms + 1)[0]
+        ev = _modes(alpha, 2 * n_terms + 1)[0]
     else:
         ev = spectrum.lambdas
         if ev.size < 2 * n_terms + 1:
@@ -219,7 +212,7 @@ def mathieu_tw_kernel(alpha, spectral_index):
             f"spectral index {spectral_index} is {tag}; the kernel needs a "
             "2pi-periodic eigenfunction")
     lam = float(spectrum.lambdas[spectral_index])
-    freqs, sine, coeffs = _modes(alpha, spectral_index + 1)[1][spectral_index]
+    freqs, sine, coeffs = spectrum.modes[spectral_index]
     xs = np.linspace(0.0, 2.0 * math.pi, 2049)
 
     def series(x):

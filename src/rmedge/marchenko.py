@@ -70,21 +70,17 @@ def _check_contraction(spec, kappa, x):
             "the resolvent equation is not a contraction")
 
 
-def _resolvent(spec, kappa, x, n):
-    """G_x discretized as op, a = sqrt(w) A(x + s) and sol = (I - kappa^2 G_x^2)^{-1} a,
-    all in symmetrized Nystrom coordinates on the nodes s of op.rule; G_x is the
-    Hankel operator A(x+s+t) on (0, inf), cut by linop's tail check."""
+def solve_marchenko(spec, kappa, x, n=160):
+    """K(x, z) on the grid z = x + s of G_x's rule, covering (x, x+L), and
+    K(x, x) = kappa < (I - kappa^2 G_x^2)^{-1} A(x+.), A(x+.) >, which is better
+    conditioned on the diagonal than interpolating K(x, .). G_x is the Hankel
+    operator A(x+s+t) on (0, inf), cut by linop's tail check; the solve runs in
+    symmetrized Nystrom coordinates on the nodes s of its rule."""
     _check_contraction(spec, kappa, x)
     shifted = _shifted(spec, x)
     op = discretize(shifted, (0.0, np.inf), n)
     a = np.sqrt(op.rule.weights) * shifted.symbol(op.rule.nodes)
     sol = np.linalg.solve(np.eye(n) - kappa * kappa * (op.matrix @ op.matrix), a)
-    return op, a, sol
-
-
-def solve_marchenko(spec, kappa, x, n=160):
-    """K(x, z) on the grid z = x + s of G_x's rule, covering (x, x+L), and K(x, x)."""
-    op, a, sol = _resolvent(spec, kappa, x, n)
     values = kappa * (op.matrix @ sol) / np.sqrt(op.rule.weights)
     return MarchenkoSolution(kappa=float(kappa), x=float(x), z_grid=x + op.rule.nodes,
                              K_values=values, K_diag=float(kappa * (a @ sol)),
@@ -92,10 +88,8 @@ def solve_marchenko(spec, kappa, x, n=160):
 
 
 def marchenko_diag(spec, kappa, x):
-    """K(x, x) = kappa < (I - kappa^2 G_x^2)^{-1} A(x+.), A(x+.) >, which is better
-    conditioned on the diagonal than interpolating K(x, .); G_x on 160 nodes."""
-    _, a, sol = _resolvent(spec, kappa, x, 160)
-    return float(kappa * (a @ sol))
+    """K(x, x) of :func:`solve_marchenko` with G_x on 160 nodes."""
+    return solve_marchenko(spec, kappa, x).K_diag
 
 
 def log_det_tail(spec, kappa, x, n=160):

@@ -29,6 +29,9 @@ from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
 
 _ANCHOR = 8.0
+# below here the t = 1 backward IVP leaves Hastings-McLeod: against the refined
+# determinant route |log F| is off by 9.5e-5 at x = -6, 3.1e-3 at -7, 2.15 at -9
+_T1_X_MIN = -6.0
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,10 @@ def _integrate_pii(t, x_min, anchor):
         raise ValueError("t must lie in (0, 1]")
     if not math.isfinite(x_min):
         raise ValueError("x_min must be finite")
+    if t == 1.0 and x_min < _T1_X_MIN:
+        raise DivergenceError(
+            f"at t = 1 the Painleve II IVP is valid for x >= {_T1_X_MIN:g} only, "
+            f"got x_min = {x_min:g}", last_x=_T1_X_MIN)
     ai, aip = airy(anchor)
     y0 = [-np.sqrt(t) * ai, -np.sqrt(t) * aip]
 

@@ -285,6 +285,14 @@ class TestConfigAndErrors:
         assert code == 1
         assert "error [NearSingularError]" in capsys.readouterr().err
 
+    def test_tw_table_past_the_t1_ivp_window_exits_one(self, tmp_path, capsys):
+        # the determinant route holds at -11 and -10, but the t = 1 IVP has left
+        # Hastings-McLeod there: it wrote w(-10) = -0.429 against about -2.24
+        code = run(tmp_path, "tw", "--xmin", "-11", "--xmax", "-10", "--step", "1")
+        assert code == 1
+        assert "error [DivergenceError]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestNegativeValues:
     # argparse alone reads "-1e-1" and "-inf" as flags and exits 2

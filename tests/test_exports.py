@@ -38,3 +38,22 @@ def test_package_imports_only_exported_names():
             missing += [f"{node.module}.{a.name}" for a in node.names
                         if exported is None or a.name not in exported]
     assert missing == []
+
+
+def test_no_module_reads_another_modules_private_names():
+    # ``from .m import _x`` and ``m._x`` for an rmedge module m; dunders pass, and
+    # so do private modules imported by name (``from ._deferred import solve_ivp``)
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    src = pathlib.Path(rmedge.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads += [f"{path.stem}: {node.module}.{a.name}" for a in node.names
+                          if private(a.name)]
+            elif (isinstance(node, ast.Attribute) and private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in MODULES):
+                reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
+    assert reads == []

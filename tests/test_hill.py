@@ -7,8 +7,7 @@ from scipy.special import mathieu_a, mathieu_b
 from rmedge import hill
 from rmedge.cli import main
 from rmedge.errors import ResolutionError, WrongPeriodError
-from rmedge.hill import (HillModel, PeriodicSpectrum, _discriminants_batch,
-                         _monodromy_batch, _spectrum_entries, discriminant,
+from rmedge.hill import (HillModel, PeriodicSpectrum, _modes, _monodromy_batch, discriminant,
                          mathieu_eigencheck, mathieu_tw_kernel, monodromy,
                          periodic_spectrum, product_formula_check)
 from rmedge.specfun import periodic_rule
@@ -70,7 +69,7 @@ class TestPinnedBits:
         assert discriminant(HillModel(0.0, 2.7)).hex() == "0x1.bd32601e04b85p-1"
 
     def test_batch(self):
-        got = _discriminants_batch(1.0, np.linspace(-2, 10, 5))
+        got = discriminant(HillModel(1.0, np.linspace(-2, 10, 5)))
         assert [float(v).hex() for v in got] == [
             "0x1.44706e32adff4p+6", "-0x1.4e63be23b3d5ep+1", "0x1.002bcfc5e71d9p+1",
             "-0x1.b9279f7526100p-1", "-0x1.c09cbc72877e8p+0"]
@@ -169,9 +168,8 @@ class TestPeriodicSpectrum:
 
 @pytest.fixture(scope="module")
 def spectra():
-    ev0, tg0 = _spectrum_entries(0.0, 41)
-    ev1, tg1 = _spectrum_entries(1.0, 41)
-    return (PeriodicSpectrum(ev0, tg0, 0.0), PeriodicSpectrum(ev1, tg1, 1.0))
+    # 41 entries, one past periodic_spectrum's limit, so uncertified and untagged
+    return tuple(PeriodicSpectrum(_modes(alpha, 41)[0], (), alpha) for alpha in (0.0, 1.0))
 
 
 class TestProductFormula:
@@ -232,6 +230,17 @@ class TestMathieuKernel:
         k = mathieu_tw_kernel(1.0, 5)
         assert k.A_prime_values[0] == 0.0
         assert k.A_values[np.argmax(np.abs(k.A_values))] > 0
+
+    def test_one_fourier_solve_per_kernel(self, monkeypatch):
+        # the eigenvector comes from the spectrum's own modes, not a second solve
+        calls = []
+
+        def counted(alpha, count):
+            calls.append((alpha, count))
+            return _modes(alpha, count)
+        monkeypatch.setattr(hill, "_modes", counted)
+        mathieu_tw_kernel(1.0, 1)
+        assert calls == [(1.0, 2)]
 
     def test_wrong_period_rejected(self):
         with pytest.raises(WrongPeriodError):

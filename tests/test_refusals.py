@@ -6,7 +6,7 @@ import pytest
 
 from rmedge import (ensembles, hardedge, hill, kernels, linop, marchenko, painleve, specfun,
                     twfactor)
-from rmedge.errors import NearSingularError
+from rmedge.errors import DivergenceError, NearSingularError
 
 
 def _op(matrix):
@@ -120,6 +120,21 @@ def test_non_finite_ode_input_refused_before_integrating(call, message, deadline
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         call()
     assert info.type is ValueError
+
+
+# at t = 1 the backward IVP is off the determinant route by 3.1e-3 in log F
+# at x = -7 and by 2.15 at -9; it returned F(-30) = 2e-267 with w = -1.0
+PII_WINDOW = {
+    "tw-cdf-t1-below-window": lambda: painleve.tw_cdf(1.0, [-7.0, 0.0]),
+    "solve-pii-t1-below-window": lambda: painleve.solve_pii(1.0, -6.5, 8.0),
+}
+
+
+@pytest.mark.parametrize("call", PII_WINDOW.values(), ids=PII_WINDOW.keys())
+def test_t1_painleve_ivp_refused_below_its_window(call, deadline):
+    with pytest.raises(DivergenceError, match=re.escape("valid for x >= -6 only")) as info:
+        call()
+    assert info.value.last_x == -6.0
 
 
 @pytest.mark.parametrize("n", [None, 100])
