@@ -1,5 +1,27 @@
-"""SciPy solvers imported at their first call: ``scipy.integrate`` (with ``scipy.linalg``,
-``scipy.optimize`` and ``scipy.sparse``) takes longer to load than a short command runs."""
+"""SciPy imported at its first use, so importing rmedge loads numpy only.
+
+``scipy.special`` loads on the first read of one of its functions; ``scipy.integrate``
+(with ``scipy.linalg``, ``scipy.optimize`` and ``scipy.sparse``) at the first ODE solve.
+Either takes longer to load than a short command runs."""
+import importlib
+
+
+class _Module:
+    """Stands in for a module, imported at the first read of one of its attributes;
+    each attribute read is kept on the stand-in, so a later read is one lookup."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        if attr.startswith("__"):  # probes of the stand-in itself import nothing
+            raise AttributeError(attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+special = _Module("scipy.special")
 
 
 def solve_ivp(*args, **kwargs):

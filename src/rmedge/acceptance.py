@@ -74,8 +74,7 @@ def _hard_edge_identity():
     for nu in (0.5, 2.0):
         for a in (0.25, 0.5):
             cfg = hardedge.HardEdgeConfig(nu=nu, a=a)
-            for z in (0.8, 1.0):
-                _, _, gap = hardedge.bessel_det_identity(cfg, z, n=80)
+            for _, _, gap in hardedge.bessel_det_identity(cfg, (0.8, 1.0), n=80):
                 worst = max(worst, gap)
     return worst < 1e-6, f"max determinant gap {worst:.3e} over 8 configs (tol 1e-6)"
 

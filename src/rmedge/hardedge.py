@@ -10,11 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
+from ._deferred import special as _sp
 from .errors import TruncationError
 from .kernels import KernelSpec, bessel_hard_kernel, bessel_log_symbol_kernel, symmetric_grid
-from .linop import discretize, fredholm_det
+from .linop import checked_log_det, discretize, sym_eigen
 from .specfun import (bessel_jv, gauss_legendre, gauss_legendre_sqrt, log_gamma_complex,
                       panel_rule)
 
@@ -169,12 +169,18 @@ def bessel_det_identity(cfg, z, n=80):
     (Gauss-Legendre in sqrt x), as ``rmedge det`` discretizes it.  rhs:
     det(I - z Phi^2) where Phi is the Hankel operator with the log-variable
     Bessel symbol shifted by alpha.
-    Returns (lhs, rhs, |lhs - rhs|).
+    Returns (lhs, rhs, |lhs - rhs|), or for a sequence of z a list of them, from
+    one eigensolve per operator.
     """
-    lhs = fredholm_det(discretize(bessel_hard_kernel(cfg.nu), (0.0, cfg.a), n), z)
+    kernel = sym_eigen(discretize(bessel_hard_kernel(cfg.nu), (0.0, cfg.a), n))
     sym = bessel_log_symbol_kernel(cfg.nu, ell=cfg.alpha)
-    rhs = fredholm_det(discretize(sym, (0.0, math.inf), max(n, 120)), z, squared=True)
-    return lhs, rhs, abs(lhs - rhs)
+    hankel = sym_eigen(discretize(sym, (0.0, math.inf), max(n, 120)))
+    rows = []
+    for zk in z if np.ndim(z) else (z,):
+        lhs = checked_log_det(kernel, zk).value
+        rhs = checked_log_det(hankel, zk, squared=True).value
+        rows.append((lhs, rhs, abs(lhs - rhs)))
+    return rows if np.ndim(z) else rows[0]
 
 
 def phi_eigen_correspondence(nu, s, n=60, top=5):

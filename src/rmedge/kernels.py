@@ -27,6 +27,7 @@ __all__ = [
     "sine_kernel",
     "airy_kernel",
     "bessel_hard_kernel",
+    "airy_symbol_cut",
     "airy_symbol_kernel",
     "bessel_log_symbol_kernel",
     "qbessel_kernel",
@@ -250,14 +251,21 @@ def bessel_hard_kernel(nu):
     return replace(spec, rule=gauss_legendre_sqrt)
 
 
-def airy_symbol_kernel(shift=0.0):
-    """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator,
-    cut where its argument reaches 8 (Ai(8) = 4.7e-8) and not before 14.  A 1-D
-    array of shifts with one cut gives their stack, read in one Airy call."""
+def airy_symbol_cut(shift):
+    """Where the Airy symbol Ai(shift + s) is cut, per shift: where its argument
+    reaches 8 (Ai(8) = 4.7e-8), and not before s = 14."""
     shifts = np.array(shift, dtype=float)
     if not np.isfinite(shifts).all():
-        raise ValueError(f"shift must be finite, got {shift}")
-    cuts = np.maximum(14.0, 8.0 - shifts).ravel()
+        raise ValueError(f"shift must be finite, got {shifts[~np.isfinite(shifts)][0]}")
+    return np.maximum(14.0, 8.0 - shifts)
+
+
+def airy_symbol_kernel(shift=0.0):
+    """Hankel kernel Ai(shift + x + y); symbol of the soft-edge Hankel operator,
+    cut at :func:`airy_symbol_cut`.  A 1-D array of shifts with one cut gives
+    their stack, read in one Airy call."""
+    shifts = np.array(shift, dtype=float)
+    cuts = airy_symbol_cut(shifts).ravel()
     if shifts.ndim and (shifts.ndim > 1 or not cuts.size or cuts.min() != cuts.max()):
         raise ValueError("a stack of shifts must be a nonempty 1-D array with one cut")
     spec = hankel_symbol_kernel(lambda s: airy_ai(np.add.outer(shifts, s)), cuts[0],

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._deferred import solve_ivp
 from .errors import DivergenceError
-from .kernels import airy_symbol_kernel
+from .kernels import airy_symbol_cut, airy_symbol_kernel
 from .linop import refined_log_det, stacked_log_det
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
@@ -154,7 +154,7 @@ def tw_cdf_det(t, xs, n=100):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError(f"xs must be a 1-D grid of shifts, got shape {xs.shape}")
-    cuts = np.array([airy_symbol_kernel(x).tail_length for x in xs.tolist()])
+    cuts = airy_symbol_cut(xs)
     F, nodes = np.empty_like(xs), np.empty(xs.shape, dtype=int)
     for group in [cuts == cut for cut in dict.fromkeys(cuts.tolist())]:  # one stack per cut
         spec = airy_symbol_kernel(xs[group])

@@ -1,9 +1,10 @@
 """Special functions and quadrature rules underlying every kernel evaluation.
 
 All operations are pure and reentrant.  Special-function values come from
-scipy.special (AMOS/Cephes); Ai above x = 10 from AMOS's K_{1/3}, K_{2/3}
-alone, bit-identical to scipy.special.airy.  The test suite validates them
-against independent series oracles and the defining ODEs.
+scipy.special (AMOS/Cephes), imported at the first evaluation; Ai above x = 10
+from AMOS's K_{1/3}, K_{2/3} alone, bit-identical to scipy.special.airy.  The
+test suite validates them against independent series oracles and the defining
+ODEs.
 """
 
 import math
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
+
+from ._deferred import special as _sp
 
 __all__ = [
     "QuadRule",

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from rmedge import acceptance, kernels, linop
+from rmedge import acceptance, hardedge, kernels, linop
 from rmedge.acceptance import CRITERIA
 from rmedge.specfun import airy
 
@@ -45,6 +45,23 @@ def test_criteria_eigensolve_each_operator_once(monkeypatch):
     calls.clear()
     assert acceptance._soft_edge_det_identity()[0]
     assert calls == [80, 80, 80, 80]
+
+
+def test_hard_edge_identity_eigensolves_each_operator_once(monkeypatch):
+    # criterion 4 reads both z from one spectrum per operator: per (nu, a) the
+    # Bessel kernel at 80 nodes and the Hankel symbol at 120, where one per z made 16
+    calls = []
+    sym_eigen = linop.sym_eigen
+
+    def counted(op):
+        calls.append(len(op.rule))
+        return sym_eigen(op)
+
+    for module in (linop, hardedge):
+        monkeypatch.setattr(module, "sym_eigen", counted)
+    passed, detail = acceptance._hard_edge_identity()
+    assert passed and detail.endswith("over 8 configs (tol 1e-6)")
+    assert calls == [80, 120] * 4
 
 
 def test_airy_product_identity_reads_the_kernel_at_its_nodes(monkeypatch):

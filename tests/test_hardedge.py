@@ -143,6 +143,11 @@ class TestBesselDetIdentity:
         _, rhs, _ = bessel_det_identity(HardEdgeConfig(nu=nu, a=a), z)
         assert abs(rhs - want) <= 1e-14 * want
 
+    def test_a_sequence_of_z_reads_as_each_z_alone(self):
+        cfg = HardEdgeConfig(nu=2.0, a=0.25)
+        got = bessel_det_identity(cfg, (0.8, 1.0), n=60)
+        assert got == [bessel_det_identity(cfg, z, n=60) for z in (0.8, 1.0)]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HardEdgeConfig(nu=-0.6, a=0.5)

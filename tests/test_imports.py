@@ -1,9 +1,11 @@
-"""Start-up cost: importing rmedge loads numpy and scipy.special, nothing more.
+"""Start-up cost: importing rmedge loads numpy and no SciPy module.
 
-scipy.integrate (with scipy.linalg, scipy.optimize and scipy.sparse) and
-scipy.interpolate load at the first call that needs them, so the short
-commands never pay for them; only ``g_involution_check`` loads
-scipy.interpolate.  Each check runs in a fresh interpreter.
+scipy.special loads at the first special-function evaluation, so ``det`` and
+``gap`` with the sine kernel load no SciPy at all.  scipy.integrate (with
+scipy.linalg, scipy.optimize and scipy.sparse) and scipy.interpolate load at
+the first call that needs them, so the short commands never pay for them; only
+``g_involution_check`` loads scipy.interpolate.  Each check runs in a fresh
+interpreter.
 """
 import json
 import os
@@ -20,29 +22,50 @@ IMPORT_ALL = ("import importlib, pkgutil, rmedge\n"
               "    importlib.import_module('rmedge.' + m.name)\n")
 
 
-def deferred_loaded_after(code, cwd):
-    """Which of DEFERRED a fresh interpreter holds after running ``code``."""
+def scipy_loaded_after(code, cwd):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd, check=True,
                           capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def deferred_loaded_after(code, cwd):
+    """Which of DEFERRED a fresh interpreter holds after running ``code``."""
+    loaded = scipy_loaded_after(code, cwd)
+    return [m for m in DEFERRED if m in loaded]
+
+
 def test_importing_every_module_loads_no_deferred_subpackage(tmp_path):
-    assert deferred_loaded_after(IMPORT_ALL, tmp_path) == []
+    # no scipy module at all, so none of DEFERRED either
+    assert scipy_loaded_after(IMPORT_ALL, tmp_path) == []
+
+
+def test_the_first_special_function_read_binds_scipys_own(tmp_path):
+    # the tracer and the tests that patch ``_sp`` see scipy.special's functions
+    code = ("from rmedge import hardedge, specfun\n"
+            "assert specfun._sp is hardedge._sp\n"
+            "airy = specfun._sp.airy\n"
+            "import scipy.special\n"
+            "assert airy is scipy.special.airy is specfun._sp.airy\n"
+            "assert hardedge._sp.jv is scipy.special.jv\n")
+    assert "scipy.special" in scipy_loaded_after(code, tmp_path)
 
 
 def test_readme_det_gap_hardedge_never_load_the_ode_solver(tmp_path):
-    runs = [["det", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--z", "1",
+    # the sine det and gap run first and leave no scipy module behind them
+    sine = [["det", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--z", "1",
              "--n", "64"],
-            ["gap", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--kmax", "8"],
-            ["hardedge", "--nu", "0.5", "--a", "0.5", "--z", "1"],
+            ["gap", "--kernel", "sine", "--t", "1", "--interval", "0", "1", "--kmax", "8"]]
+    runs = [["hardedge", "--nu", "0.5", "--a", "0.5", "--z", "1"],
             ["det", "--kernel", "bessel-hard", "--nu", "0.5", "--interval", "0", "1"]]
-    code = "from rmedge.cli import main\n" + "".join(
-        f"assert main({argv!r}) == 0\n" for argv in runs)
+    code = ("import sys\nfrom rmedge.cli import main\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in sine)
+            + "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            + "".join(f"assert main({argv!r}) == 0\n" for argv in runs))
     loaded = deferred_loaded_after(code, tmp_path)
     assert "scipy.integrate" not in loaded and "scipy.optimize" not in loaded
     assert sorted(p.name for p in tmp_path.iterdir()) == [

@@ -7,7 +7,7 @@ import pytest
 
 from rmedge import kernels
 from rmedge.errors import TruncationError
-from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
+from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_cut, airy_symbol_kernel,
                             bessel_hard_kernel, bessel_log_symbol_kernel,
                             hankel_square_eval, hankel_square_grid,
                             hankel_symbol_kernel, kernel_eval, kernel_matrix,
@@ -402,5 +402,13 @@ class TestAiryStack:
             airy_symbol_kernel(np.array(shifts))
 
     def test_stack_refuses_a_non_finite_shift(self):
-        with pytest.raises(ValueError, match="shift must be finite"):
+        with pytest.raises(ValueError, match="shift must be finite, got nan$"):
             airy_symbol_kernel(np.array([0.0, np.nan]))
+
+    def test_cut_is_each_members_tail_length(self):
+        shifts = np.array([-8.0, -6.5, -6.0, 0.0, 11.0])
+        assert airy_symbol_cut(shifts).tolist() == [16.0, 14.5, 14.0, 14.0, 14.0]
+        assert [airy_symbol_kernel(x).tail_length for x in shifts] == \
+            airy_symbol_cut(shifts).tolist()
+        with pytest.raises(ValueError, match="shift must be finite, got -inf$"):
+            airy_symbol_cut(-np.inf)

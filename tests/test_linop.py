@@ -422,7 +422,7 @@ class TestStack:
 
 @pytest.mark.parametrize("module,call", [
     (linop, lambda: painleve.tw_cdf_det(1.0, [0.0], n=20)),
-    (linop, lambda: hardedge.bessel_det_identity(hardedge.HardEdgeConfig(0.5, 0.5), 1.0,
+    (hardedge, lambda: hardedge.bessel_det_identity(hardedge.HardEdgeConfig(0.5, 0.5), 1.0,
                                                  n=20)),
     (marchenko, lambda: marchenko.log_det_tail(airy_symbol_kernel(), 1.0, 0.5, n=20)),
 ], ids=["tw_cdf_det", "bessel_det_identity", "log_det_tail"])

@@ -283,6 +283,21 @@ class TestStackedRoute:
         assert shapes == [(71, 32), (71, 48)]
         assert sum(points) == 122120
 
+    def test_one_table_builds_one_spec_per_cut(self, monkeypatch):
+        # the cuts come from airy_symbol_cut; the 71 shifts share one, so one stack
+        built = []
+
+        def counted(shift):
+            built.append(np.size(shift))
+            return airy_symbol_kernel(shift)
+
+        monkeypatch.setattr(painleve, "airy_symbol_kernel", counted)
+        tw_cdf_det(1.0, README_GRID, n=100)
+        assert built == [71]
+        built.clear()
+        tw_cdf_det(1.0, self.MIXED, n=100)
+        assert built == [1, 1, 1, 3]
+
     @pytest.mark.parametrize("n,want", [(100, [(26, 100), (26, 100), (19, 100)]),
                                         (400, [(1, 400)] * 3)])
     def test_a_stack_holds_a_bounded_matrix(self, monkeypatch, n, want):
