@@ -1,8 +1,7 @@
-"""SciPy imported at its first use, so importing rmedge loads numpy only.
-
-``scipy.special`` loads on the first read of one of its functions; ``scipy.integrate``
-(with ``scipy.linalg``, ``scipy.optimize`` and ``scipy.sparse``) at the first ODE solve.
-Either takes longer to load than a short command runs."""
+"""SciPy imported at its first use, so importing rmedge loads numpy only; no other module
+imports SciPy.  ``scipy.special``, ``scipy.linalg`` and ``scipy.interpolate`` load at the
+first read of one of their functions, ``scipy.integrate`` (with ``scipy.linalg``,
+``scipy.optimize`` and ``scipy.sparse``) at the first ODE solve."""
 import importlib
 
 
@@ -22,6 +21,8 @@ class _Module:
 
 
 special = _Module("scipy.special")
+linalg = _Module("scipy.linalg")
+interpolate = _Module("scipy.interpolate")
 
 
 def solve_ivp(*args, **kwargs):
@@ -30,5 +31,4 @@ def solve_ivp(*args, **kwargs):
 
 
 def eigvalsh_tridiagonal(*args, **kwargs):
-    from scipy.linalg import eigvalsh_tridiagonal
-    return eigvalsh_tridiagonal(*args, **kwargs)
+    return linalg.eigvalsh_tridiagonal(*args, **kwargs)

@@ -187,12 +187,12 @@ def _run(args):
     """Run one subcommand: time its body, write the manifest, print its line."""
     if args.command not in _EXTENSIONS:
         return args.func(args)
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = args.out or f"{args.command}.{_EXTENSIONS[args.command]}"
     message, extra = args.func(args, out)
     _write_json(out + ".manifest.json", {
         "command": args.command, "parameters": _params(args), "version": __version__,
-        "seed": None, "wall_time_s": time.time() - t0, "outputs": [out], **extra})
+        "seed": None, "wall_time_s": time.perf_counter() - t0, "outputs": [out], **extra})
     print(message)
     return 0
 

@@ -175,7 +175,7 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
     if not isinstance(kmax, numbers.Integral) or kmax < 0:
         raise ValueError("kmax must be nonnegative")
     _check_key(seed, samples - 1)
-    t0 = time.time()
+    t0 = time.perf_counter()
     cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)
     counts = np.zeros(kmax + 1, dtype=np.int64)
     overflow = 0
@@ -201,7 +201,7 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
         "seed": int(seed),
         "kmax": kmax,
         "overflow_count": int(overflow),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
     }
     return GapCountResult(alpha=float(alpha), probs=probs, std_errors=se,
                           manifest=manifest)

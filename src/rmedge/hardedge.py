@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._deferred import special as _sp
+from ._deferred import interpolate, special as _sp
 from .errors import TruncationError
 from .kernels import KernelSpec, bessel_hard_kernel, bessel_log_symbol_kernel, symmetric_grid
 from .linop import checked_log_det, discretize, sym_eigen
@@ -139,7 +139,6 @@ def g_involution_check(nu, ell, test_functions):
     must be concentrated like Gaussian bumps; eigenfunction-like inputs whose
     image is distributional are outside the admissible class.
     """
-    from scipy.interpolate import CubicSpline
     grid = np.linspace(-2.0, 5.0, 36)
     # the intermediate G f(eta) lives on the l = 0 window shifted by -l and
     # oscillates at frequency e^{-(eta + l)}
@@ -155,7 +154,8 @@ def g_involution_check(nu, ell, test_functions):
         y_sup_hi = math.exp(-float(alive[0]) + 0.1)
         g_vals = apply_g(nu, ell, f, eta_grid, y_lo=y_sup_lo, y_hi=y_sup_hi)
         # G f is zero outside the tabulated window, where the spline gives NaN
-        spline = CubicSpline(eta_grid, g_vals, bc_type="natural", extrapolate=False)
+        spline = interpolate.CubicSpline(eta_grid, g_vals, bc_type="natural",
+                                         extrapolate=False)
         gg = apply_g(nu, ell, lambda eta: np.nan_to_num(spline(eta)), grid,
                      y_lo=math.exp(-hi), y_hi=math.exp(-lo))
         worst = max(worst, float(np.abs(gg - np.asarray(f(grid))).max()))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._deferred import solve_ivp
+from ._deferred import linalg, solve_ivp
 from .errors import ResolutionError, WrongPeriodError
 from .kernels import KernelSpec
 from .linop import nystrom
@@ -101,7 +101,6 @@ def _modes(alpha, count):
     """The lowest ``count`` eigenvalues of the four blocks, sorted, and per value
     ``(freqs, sine, coeffs)``; for odd frequencies the eigenfunction with norm
     sqrt(pi) is sum_j coeffs[j] trig(freqs[j] x), trig = sin if sine else cos."""
-    from scipy.linalg import eigh_tridiagonal
     # frequencies reach about twice the block size, some 30 beyond the highest
     # one a wanted mode needs, sqrt(lambda + |alpha|) <= count / 2 + sqrt(2 |alpha|)
     size = count // 4 + int(math.sqrt(abs(alpha) / 2.0)) + 16
@@ -114,7 +113,7 @@ def _modes(alpha, count):
             off[0] = -alpha / math.sqrt(2.0)  # 1 / sqrt(2 pi) against cos 2x / sqrt(pi)
         elif first == 1:
             diag[0] += 0.5 * alpha if sine else -0.5 * alpha
-        w, v = eigh_tridiagonal(diag, off)
+        w, v = linalg.eigh_tridiagonal(diag, off)
         lams.append(w)
         modes.extend((freqs, sine, v[:, i]) for i in range(size))
     lams = np.concatenate(lams)

@@ -30,7 +30,7 @@ __all__ = [
     "sym_eigen",
     "log_det",
     "checked_log_det",
-    "stacked_log_det",
+    "stacked_spectrum",
     "refined_log_det",
     "fredholm_det",
     "gap_probs",
@@ -185,14 +185,14 @@ _MAX_NODES = 400
 _STACK_BYTES = 2 << 20  # matrix bytes per stacked block: 71 shifts at 48 nodes fit
 
 
-def stacked_log_det(spec, interval, n, z, squared=False):
-    """:func:`checked_log_det` at n nodes of each member of a stack (of a single spec),
-    as a list; each block of at most _STACK_BYTES of matrix is one discretization."""
-    if spec.members is None:
-        return [checked_log_det(sym_eigen(discretize(spec, interval, n)), z, squared)]
+def stacked_spectrum(spec, interval, n):
+    """:func:`sym_eigen` at n nodes, a row per member of a stack (a single spec is a stack
+    of one), in blocks of at most _STACK_BYTES of matrix; :func:`checked_log_det` reads z."""
+    members = spec.members or (lambda keep: spec)
     step = max(1, _STACK_BYTES // (8 * max(n, 1) ** 2))
-    return [ld for i in range(0, spec.size, step) for ld in checked_log_det(
-        sym_eigen(discretize(spec.members(slice(i, i + step)), interval, n)), z, squared)]
+    rows = [sym_eigen(discretize(members(slice(i, i + step)), interval, n)).eigenvalues
+            for i in range(0, spec.size or 1, step)]
+    return Spectrum(eigenvalues=np.vstack(rows), rule_size=n, kernel_tag=spec.tag)
 
 
 def refined_log_det(spec, interval, z, squared=False):
@@ -207,9 +207,9 @@ def refined_log_det(spec, interval, z, squared=False):
     """
     members, todo = spec.members or (lambda keep: spec), np.arange(spec.size or 1)
     n, nodes, done = _FIRST_RUNG, np.zeros(todo.size, dtype=int), [None] * todo.size
-    coarse = stacked_log_det(members(todo), interval, n, z, squared)
+    coarse = checked_log_det(stacked_spectrum(members(todo), interval, n), z, squared)
     while (fine_n := math.ceil(1.5 * n)) <= _MAX_NODES:
-        fine = stacked_log_det(members(todo), interval, fine_n, z, squared)
+        fine = checked_log_det(stacked_spectrum(members(todo), interval, fine_n), z, squared)
         settled = np.array([f.sign == c.sign and abs(f.log_abs - c.log_abs) <= max(
             1e-12 * max(1.0, abs(f.log_abs)), c.bound + f.bound)
             for c, f in zip(coarse, fine)])

@@ -23,7 +23,7 @@ import numpy as np
 from ._deferred import solve_ivp
 from .errors import DivergenceError
 from .kernels import airy_symbol_cut, airy_symbol_kernel
-from .linop import refined_log_det, stacked_log_det
+from .linop import checked_log_det, refined_log_det, stacked_spectrum
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
 __all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
@@ -161,7 +161,8 @@ def tw_cdf_det(t, xs, n=100):
         if n is None:
             nodes[group], lds = refined_log_det(spec, (0.0, np.inf), t, squared=True)
         else:
-            nodes[group], lds = n, stacked_log_det(spec, (0.0, np.inf), n, t, squared=True)
+            nodes[group], lds = n, checked_log_det(stacked_spectrum(spec, (0.0, np.inf), n),
+                                                   t, squared=True)
         F[group] = [ld.value for ld in lds]
     return TWCurve(t=float(t), xs=xs, F_values=F, w_values=None, route="determinant",
                    nodes=nodes)

@@ -57,3 +57,17 @@ def test_no_module_reads_another_modules_private_names():
                     and isinstance(node.value, ast.Name) and node.value.id in MODULES):
                 reads.append(f"{path.stem}: {node.value.id}.{node.attr}")
     assert reads == []
+
+
+def test_only_the_deferred_module_imports_scipy():
+    # ``import scipy...`` and ``from scipy... import`` anywhere, at module level or in
+    # a function: every SciPy name is read through ``rmedge._deferred``
+    src = pathlib.Path(rmedge.__file__).parent
+    imports = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            imports += [f"{path.stem}: {name}" for name in names
+                        if name.split(".")[0] == "scipy" and path.stem != "_deferred"]
+    assert imports == []

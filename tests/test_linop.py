@@ -13,7 +13,7 @@ from rmedge.kernels import (KernelSpec, airy_kernel, airy_symbol_kernel,
                             kernel_eval, kernel_matrix, sine_kernel)
 from rmedge.linop import (DiscretizedOp, LogDet, Spectrum, checked_log_det, discretize,
                           fredholm_det, gap_probs, log_det, nystrom, refined_log_det,
-                          stacked_log_det, sym_eigen)
+                          stacked_spectrum, sym_eigen)
 from rmedge.specfun import gauss_legendre
 
 
@@ -334,8 +334,10 @@ class TestRefinedLogDet:
         checked = linop.checked_log_det
 
         def flipped(spectrum, z, squared=False):
-            ld = checked(spectrum, z, squared)
-            return replace(ld, sign=-ld.sign) if spectrum.rule_size == 32 else ld
+            lds = checked(spectrum, z, squared)
+            if spectrum.rule_size == 32:
+                lds[0] = replace(lds[0], sign=-lds[0].sign)
+            return lds
 
         monkeypatch.setattr(linop, "checked_log_det", flipped)
         assert refined_log_det(sine_kernel(1.0), (0.0, 2.0), 1.0)[0] == 72
@@ -361,13 +363,20 @@ class TestRefinedLogDet:
 class TestStack:
     SHIFTS = [-4.0, -1.0, 0.0, 1.5]
 
-    def test_stacked_log_det_is_each_members_log_det(self):
-        got = stacked_log_det(airy_symbol_kernel(np.array(self.SHIFTS)), (0.0, math.inf),
-                              48, 0.7, squared=True)
+    def test_stacked_spectrum_reads_each_members_log_det(self):
+        got = checked_log_det(stacked_spectrum(airy_symbol_kernel(np.array(self.SHIFTS)),
+                                               (0.0, math.inf), 48), 0.7, squared=True)
         want = [checked_log_det(sym_eigen(discretize(airy_symbol_kernel(x),
                                                      (0.0, math.inf), 48)), 0.7, squared=True)
                 for x in self.SHIFTS]
         assert got == want
+
+    def test_a_single_spec_is_a_stack_of_one(self):
+        got = stacked_spectrum(sine_kernel(1.0), (0.0, 2.0), 24)
+        want = sym_eigen(discretize(sine_kernel(1.0), (0.0, 2.0), 24))
+        assert got.eigenvalues.shape == (1, 24)
+        assert np.array_equal(got.eigenvalues[0], want.eigenvalues)
+        assert (got.rule_size, got.kernel_tag) == (want.rule_size, want.kernel_tag)
 
     def test_nystrom_and_sym_eigen_take_the_last_two_axes(self):
         rule = gauss_legendre(6, 0.0, 1.0)
