@@ -11,7 +11,7 @@ law for the scaled largest GUE eigenvalue.
 
 import numpy as np
 
-from rmedge import solve_pii, tw_cdf, tw_cdf_det
+from rmedge import tw_cdf, tw_cdf_det
 
 xs = np.round(np.arange(-5.0, 2.01, 0.5), 10)
 
@@ -25,10 +25,10 @@ for t in (0.5, 1.0):
 
 # the Painleve transcendent itself: Hastings-McLeod-type connection between
 # Airy decay on the right and a growing profile on the left
-sol = solve_pii(1.0, -6.0, 8.0)
+profile = tw_cdf(1.0, np.array([-6.0, -4.0, -2.0, 0.0, 2.0, 4.0]))
 print("\nw(x; 1) profile:")
-for x in (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0):
-    print(f"  w({x:4.1f}) = {sol.w_at(x): .12f}")
+for x, w in zip(profile.xs, profile.w_values):
+    print(f"  w({x:4.1f}) = {w: .12f}")
 
 print("\nmedian-ish landmarks: F(-1.77; 1) =",
       tw_cdf(1.0, np.array([-1.77])).F_values[0])

@@ -44,7 +44,7 @@ from .twfactor import (
     verify_factorization,
 )
 from .marchenko import hs_expansion, solve_marchenko, verify_logdet_slope
-from .painleve import TWCurve, solve_pii, tw_cdf, tw_cdf_det
+from .painleve import TWCurve, tw_cdf, tw_cdf_det
 from .hardedge import (
     HardEdgeConfig,
     bessel_det_identity,

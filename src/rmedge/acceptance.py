@@ -61,7 +61,7 @@ def _tw_dual_route():
         gap = np.abs(painleve.tw_cdf(t, xs).F_values - F[np.searchsorted(shifts, xs)]).max()
         worst = max(worst, float(gap))
         ld = np.log(F[np.searchsorted(shifts, wide)])
-        w2 = painleve.solve_pii(t, xs2[0], 8.0).w_at(xs2) ** 2
+        w2 = painleve.tw_cdf(t, xs2).w_values ** 2
         d2 = (-ld[4:] + 16 * ld[3:-1] - 30 * ld[2:-2] + 16 * ld[1:-3] - ld[:-4]) / (12 * h * h)
         worst2 = max(worst2, float(np.abs(w2 + d2).max()))
     ok = worst < 1e-6 and worst2 < 1e-4

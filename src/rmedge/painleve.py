@@ -26,7 +26,7 @@ from .kernels import airy_symbol_cut, airy_symbol_kernel
 from .linop import checked_log_det, refined_log_det, stacked_spectrum
 from .specfun import airy, airy_ai, gauss_legendre, panel_rule
 
-__all__ = ["TWCurve", "PIISolution", "solve_pii", "tw_cdf", "tw_cdf_det"]
+__all__ = ["TWCurve", "tw_cdf", "tw_cdf_det"]
 
 _ANCHOR = 8.0
 # below here the t = 1 backward IVP leaves Hastings-McLeod: against the refined
@@ -36,25 +36,15 @@ _T1_X_MIN = -6.0
 
 @dataclass(frozen=True)
 class TWCurve:
+    """F(x; t) on the grid xs.  On the Painleve route w_values is the Painleve II
+    solution w(x; t) at xs and nodes is None; on the determinant route nodes is
+    the n used at each shift and w_values is None."""
     t: float
     xs: np.ndarray
     F_values: np.ndarray
     w_values: Optional[np.ndarray]
     route: str
-    nodes: Optional[np.ndarray] = None  # determinant route: the n used at each shift
-
-
-@dataclass(frozen=True)
-class PIISolution:
-    t: float
-    anchor: float
-    xs: np.ndarray
-    w: np.ndarray
-    w_prime: np.ndarray
-    _dense: object
-
-    def w_at(self, x):
-        return self._dense(np.asarray(x, dtype=float))[0]
+    nodes: Optional[np.ndarray] = None
 
 
 def _integrate_pii(t, x_min, anchor):
@@ -85,21 +75,6 @@ def _integrate_pii(t, x_min, anchor):
         raise DivergenceError(
             f"Painleve II solution blew up near x = {last:.6g}", last_x=last)
     return sol
-
-
-def solve_pii(t, x_min, x_max):
-    """Solution of w'' = 2w^3 + xw anchored to -sqrt(t) Ai at the right end,
-    sampled at spacing at most 0.05 on (x_min, x_max), at least 64 points."""
-    if x_max < 6.0:
-        raise ValueError("x_max must be at least 6 so the Airy anchor is accurate")
-    if not x_min < x_max:
-        raise ValueError("empty range")
-    anchor = max(x_max, _ANCHOR)
-    sol = _integrate_pii(t, x_min, anchor)
-    xs = np.linspace(x_min, x_max, max(64, int((x_max - x_min) / 0.05) + 1))
-    vals = sol.sol(xs)
-    return PIISolution(t=float(t), anchor=anchor, xs=xs,
-                       w=vals[0], w_prime=vals[1], _dense=sol.sol)
 
 
 def _tail_moments(t, anchor):

@@ -105,7 +105,7 @@ def test_tw_dual_route_is_the_public_determinant_route(monkeypatch):
         assert np.array_equal(reads[t][np.searchsorted(shifts, wide)], F_wide)
         worst = max(worst, float(np.abs(painleve.tw_cdf(t, xs).F_values - F).max()))
         ld = np.log(F_wide)
-        w2 = painleve.solve_pii(t, xs2[0], 8.0).w_at(xs2) ** 2
+        w2 = painleve.tw_cdf(t, xs2).w_values ** 2
         d2 = (-ld[4:] + 16 * ld[3:-1] - 30 * ld[2:-2] + 16 * ld[1:-3] - ld[:-4]) / (12 * h * h)
         worst2 = max(worst2, float(np.abs(w2 + d2).max()))
     assert got == (worst < 1e-6 and worst2 < 1e-4,

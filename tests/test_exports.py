@@ -71,3 +71,16 @@ def test_only_the_deferred_module_imports_scipy():
             imports += [f"{path.stem}: {name}" for name in names
                         if name.split(".")[0] == "scipy" and path.stem != "_deferred"]
     assert imports == []
+
+
+def test_only_tw_cdf_integrates_painleve_ii():
+    # one entry to the Painleve II solve, so another solver replaces the IVP in one place
+    src = pathlib.Path(rmedge.__file__).parent
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and "_integrate_pii" in ast.unparse(node.func)
+                    for node in ast.walk(fn)):
+                callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["painleve.tw_cdf"]

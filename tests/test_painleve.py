@@ -7,43 +7,36 @@ from rmedge import kernels, linop, painleve, specfun
 from rmedge.errors import NearSingularError
 from rmedge.kernels import airy_symbol_kernel
 from rmedge.linop import discretize, fredholm_det, refined_log_det
-from rmedge.painleve import solve_pii, tw_cdf, tw_cdf_det
+from rmedge.painleve import tw_cdf, tw_cdf_det
 from rmedge.specfun import airy, airy_ai, gauss_legendre
 
 
 class TestSolvePii:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            solve_pii(0.0, -5.0, 8.0)
-        with pytest.raises(ValueError):
-            solve_pii(1.2, -5.0, 8.0)
-        with pytest.raises(ValueError):
-            solve_pii(1.0, -5.0, 5.0)   # x_max too small for the Airy anchor
-        with pytest.raises(ValueError):
-            solve_pii(1.0, 7.0, 6.5)
+    """The Painleve II solve, read as TWCurve.w_values on the Painleve route."""
 
     def test_vanishing_coupling_limit(self):
         # w scales like -sqrt(t) Ai, so tiny t gives a tiny solution
-        sol = solve_pii(1e-10, -4.0, 6.0)
-        assert np.abs(sol.w).max() < 1e-4
+        curve = tw_cdf(1e-10, np.linspace(-4.0, 6.0, 201))
+        assert np.abs(curve.w_values).max() < 1e-4
 
     def test_airy_anchor_ratio(self):
         for t in (0.5, 1.0):
-            sol = solve_pii(t, -4.0, 6.0)
-            ratio = sol.w_at(6.0) / (-math.sqrt(t) * airy(6.0)[0])
+            w = tw_cdf(t, np.array([-4.0, 6.0])).w_values[-1]
+            ratio = w / (-math.sqrt(t) * airy(6.0)[0])
             assert abs(ratio - 1.0) < 1e-6
 
     def test_ode_residual_on_grid(self):
-        sol = solve_pii(1.0, -4.0, 6.0)
         h = 1e-4
-        for x in (-3.0, -1.0, 0.0, 2.0):
-            w = sol.w_at(np.array([x - h, x, x + h]))
+        centres = (-3.0, -1.0, 0.0, 2.0)
+        xs = np.concatenate([[-4.0]] + [[x - h, x, x + h] for x in centres])
+        ws = tw_cdf(1.0, xs).w_values[1:].reshape(-1, 3)
+        for x, w in zip(centres, ws):
             second = (w[2] - 2 * w[1] + w[0]) / h ** 2
             assert abs(second - 2 * w[1] ** 3 - x * w[1]) < 1e-7
 
     def test_sign_convention_at_right_end(self):
-        sol = solve_pii(1.0, -2.0, 6.0)
-        assert sol.w_at(6.0) < 0  # matches -sqrt(t) Ai > 0 flipped
+        w = tw_cdf(1.0, np.array([-2.0, 6.0])).w_values[-1]
+        assert w < 0  # matches -sqrt(t) Ai > 0 flipped
 
 
 class TestTwCdf:
@@ -53,7 +46,7 @@ class TestTwCdf:
 
     @pytest.mark.parametrize("t", [2.0, -1.0, 0.0])
     def test_t_outside_unit_interval_rejected(self, t):
-        # as solve_pii and tw_cdf_det: no distribution is computed for t
+        # as tw_cdf_det: no distribution is computed for t
         # outside (0, 1], where sqrt(t) Ai would be complex or not a CDF
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             tw_cdf(t, np.array([-1.0, 0.0]))
@@ -323,8 +316,7 @@ def test_second_derivative_identity():
     for t in (0.5, 1.0):
         wide = np.round(np.arange(xs[0] - 2 * h, xs[-1] + 2 * h + 1e-9, h), 10)
         ld = np.log(tw_cdf_det(t, wide).F_values)
-        sol = solve_pii(t, float(xs[0]), 8.0)
-        w2 = sol.w_at(xs) ** 2
+        w2 = tw_cdf(t, xs).w_values ** 2
         d2 = (-ld[4:] + 16 * ld[3:-1] - 30 * ld[2:-2] + 16 * ld[1:-3] - ld[:-4]) \
             / (12 * h * h)
         assert np.abs(w2 + d2).max() < 1e-4
@@ -336,5 +328,5 @@ def test_pii_value_recovered_from_determinant_curvature():
     xs5 = np.array([-2 * h, -h, 0.0, h, 2 * h])
     ld = np.log(tw_cdf_det(1.0, xs5).F_values)
     d2 = (-ld[4] + 16 * ld[3] - 30 * ld[2] + 16 * ld[1] - ld[0]) / (12 * h * h)
-    sol = solve_pii(1.0, -1.0, 8.0)
-    assert abs(abs(sol.w_at(0.0)) - math.sqrt(-d2)) < 1e-5
+    w0 = tw_cdf(1.0, np.array([-1.0, 0.0])).w_values[-1]
+    assert abs(abs(w0) - math.sqrt(-d2)) < 1e-5

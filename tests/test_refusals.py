@@ -106,8 +106,6 @@ NON_FINITE = {
     "periodic-spectrum-alpha-nan": (lambda: hill.periodic_spectrum(np.nan, 3),
                                     "alpha must be finite"),
     "tw-cdf-minus-inf": (lambda: painleve.tw_cdf(1.0, [-np.inf, 0.0]), "x_min must be finite"),
-    "solve-pii-minus-inf": (lambda: painleve.solve_pii(1.0, -np.inf, 8.0),
-                            "x_min must be finite"),
     "factorization-inf": (lambda: twfactor.verify_factorization(
         twfactor.scaled_airy_system(), (0.0, np.inf), 10), "range must be finite"),
     "factorization-nan": (lambda: twfactor.verify_factorization(
@@ -126,7 +124,6 @@ def test_non_finite_ode_input_refused_before_integrating(call, message, deadline
 # at x = -7 and by 2.15 at -9; it returned F(-30) = 2e-267 with w = -1.0
 PII_WINDOW = {
     "tw-cdf-t1-below-window": lambda: painleve.tw_cdf(1.0, [-7.0, 0.0]),
-    "solve-pii-t1-below-window": lambda: painleve.solve_pii(1.0, -6.5, 8.0),
 }
 
 
