@@ -7,7 +7,7 @@ independent routes; and seeded Monte Carlo ensemble sampling to compare
 against the deterministic predictions.
 """
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"
 
 from .specfun import (QuadRule, airy, airy_ai, bessel_j, bessel_jv, gauss_legendre,
                       log_gamma_complex, periodic_rule)

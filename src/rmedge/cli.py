@@ -131,13 +131,10 @@ def _cmd_hardedge(args, out):
 
 
 def _cmd_hill(args, out):
-    spectrum = hill.periodic_spectrum(args.alpha, args.count)
+    spectrum = hill.periodic_spectrum(args.alpha, args.count, args.scan_points)
     rows = [("root", lam, tag) for lam, tag in
             zip(spectrum.lambdas, spectrum.period_tags)]
-    top = float(spectrum.lambdas[-1]) + 2.0
-    scan = np.linspace(-abs(args.alpha) - 1.0, top, args.scan_points)
-    rows += [("scan", lam, _fmt(delta))
-             for lam, delta in zip(scan, hill.discriminant(hill.HillModel(args.alpha, scan)))]
+    rows += [("scan", lam, _fmt(delta)) for lam, delta in zip(*spectrum.scan)]
     _write_csv(out, ["kind", "lambda", "tag_or_delta"], rows)
     return (f"{args.count} periodic eigenvalues + {args.scan_points} discriminant "
             f"samples -> {out}"), {}

@@ -54,8 +54,9 @@ class HillModel:
 
 
 def monodromy(model):
-    """Fundamental matrix S(pi); det S = 1 by Wronskian conservation."""
-    return _monodromy_batch(model.alpha, [model.lam])[:, 0].reshape(2, 2).T
+    """S(pi), det S = 1 (Wronskian); an array of lambdas gives the (m, 2, 2) stack."""
+    S = _monodromy_batch(model.alpha, model.lam).T.reshape(-1, 2, 2).transpose(0, 2, 1)
+    return S if np.ndim(model.lam) else S[0]
 
 
 def discriminant(model):
@@ -95,6 +96,7 @@ class PeriodicSpectrum:
     period_tags: tuple  # "pi-periodic" or "2pi-periodic" per entry
     alpha: float
     modes: tuple = field(default=(), repr=False, compare=False)  # _modes' (freqs, sine, coeffs)
+    scan: tuple = field(default=(), repr=False, compare=False)  # (lambda grid, Delta)
 
 
 def _modes(alpha, count):
@@ -121,7 +123,7 @@ def _modes(alpha, count):
     return lams[order], [modes[i] for i in order]
 
 
-def periodic_spectrum(alpha, count):
+def periodic_spectrum(alpha, count, scan_points=0):
     """First ``count`` periodic eigenvalues with the interlacing multiplicity.
 
     The four Fourier blocks do not couple, so narrow instability gaps split
@@ -130,7 +132,9 @@ def periodic_spectrum(alpha, count):
     | |Delta(lambda)| - 2 | exceeds max(1e-8, 1e-12 max|S(pi)|), as for a
     truncation that is too small.  The second term is the rounding floor of
     Delta at rtol 1e-12; it exceeds 1e-8 only at large |alpha| (alpha >~ 25),
-    where the monodromy entries grow.
+    where the monodromy entries grow.  The same integration samples Delta on
+    ``scan_points`` equispaced lambdas from -|alpha| - 1 to the top entry + 2,
+    returned as ``scan = (grid, Delta)``.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -139,10 +143,13 @@ def periodic_spectrum(alpha, count):
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     lams, modes = _modes(alpha, count)
-    s = _monodromy_batch(alpha, lams)
+    grid = np.linspace(-abs(alpha) - 1.0, float(lams[-1]) + 2.0, scan_points)
+    batch = _monodromy_batch(alpha, np.concatenate([lams, grid]))
+    s, scan = batch[:, :count], batch[0, count:] + batch[3, count:]
     miss = np.abs(np.abs(s[0] + s[3]) - 2.0)
     # Delta = s11 + s22 cancels entries as large as max|S(pi)|, each carrying
-    # the integration's relative error, so that is the floor of the bound
+    # the integration's relative error, so that is the floor of the bound; the
+    # root columns alone set it, since S(pi) grows on the scan below the spectrum
     tol = max(_CERTIFICATE_TOL, _IVP_RTOL * np.abs(s).max())
     worst = int(np.argmax(miss))
     if miss[worst] > tol:
@@ -151,7 +158,7 @@ def periodic_spectrum(alpha, count):
             f"certificate: ||Delta| - 2| = {miss[worst]:.3e} > {tol:.3g}")
     tags = tuple("2pi-periodic" if freqs[0] % 2 else "pi-periodic" for freqs, _, _ in modes)
     return PeriodicSpectrum(lambdas=lams, period_tags=tags, alpha=float(alpha),
-                            modes=tuple(modes))
+                            modes=tuple(modes), scan=(grid, scan))
 
 
 def product_formula_check(alpha, lam, n_terms, spectrum=None):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from rmedge import acceptance, hardedge, kernels, linop, painleve
+from rmedge import acceptance, hardedge, hill, kernels, linop, painleve
 from rmedge.acceptance import CRITERIA
 from rmedge.specfun import airy
 
@@ -111,6 +111,25 @@ def test_tw_dual_route_is_the_public_determinant_route(monkeypatch):
     assert got == (worst < 1e-6 and worst2 < 1e-4,
                    f"sup|F_painleve - F_det| {worst:.3e} (tol 1e-6); "
                    f"second-derivative residual {worst2:.3e} (tol 1e-4)")
+
+
+@pytest.mark.parametrize("module,check,solves", [
+    # criterion 7: four spectra, the |det S - 1| stack and the two kernels' spectra
+    (hill, acceptance._hill_mathieu, 6),
+    # criterion 3: one Painleve II solve per t for F on xs and w on xs2
+    (painleve, acceptance._tw_dual_route, 2),
+], ids=["criterion_07", "criterion_03"])
+def test_ode_solves_per_criterion(monkeypatch, module, check, solves):
+    calls = []
+    solve_ivp = module.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_ivp", counted)
+    assert check()[0]
+    assert len(calls) == solves
 
 
 def test_airy_product_identity_reads_the_kernel_at_its_nodes(monkeypatch):

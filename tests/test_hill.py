@@ -27,6 +27,13 @@ class TestMonodromy:
             S = monodromy(HillModel(1.0, lam))
             assert abs(np.linalg.det(S) - 1.0) < 1e-10
 
+    def test_array_is_the_stacked_scalar_calls(self):
+        lams = np.array([-2.0, 0.0, 5.0, 30.0])
+        S = monodromy(HillModel(1.0, lams))
+        assert S.shape == (4, 2, 2)
+        want = np.array([monodromy(HillModel(1.0, lam)) for lam in lams])
+        assert np.abs(S - want).max() < 1e-11
+
     def test_wronskian_along_the_interval(self):
         # det S(x) = 1 at interior points too
         for x_end in (0.7, 1.5, 2.8):
@@ -155,6 +162,46 @@ class TestPeriodicSpectrum:
         assert main(["hill", "--alpha", "1", "--count", "5"]) == 1
         assert "error [ResolutionError]" in capsys.readouterr().err
         assert not (tmp_path / "hill.csv").exists()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 25.0])
+    def test_scan_is_the_discriminant_on_its_grid(self, alpha):
+        # the scan rides in the certificate's integration; the roots do not move
+        s = periodic_spectrum(alpha, 40, 120)
+        grid, delta = s.scan
+        assert np.array_equal(grid, np.linspace(-alpha - 1.0, s.lambdas[-1] + 2.0, 120))
+        want = discriminant(HillModel(alpha, grid))
+        assert np.all(np.abs(delta - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        assert np.array_equal(s.lambdas, periodic_spectrum(alpha, 40).lambdas)
+
+    def test_scan_below_the_spectrum_still_certifies(self):
+        # max|S(pi)| is 7.1e9 on the scan and 7.6e7 at the roots; the roots miss
+        # by 8.1e-7, inside their own floor 7.6e-5
+        s = periodic_spectrum(60.0, 40, 120)
+        assert s.lambdas.size == 40 and s.scan[1].size == 120
+
+    def test_certificate_tolerance_reads_the_root_columns_only(self, monkeypatch):
+        # scan columns of 1e12 would lift the rounding floor to 1, above the
+        # roots' miss of 0.5; the floor must come from the roots alone
+        def batch(alpha, lams):
+            s = np.full((4, np.size(lams)), 1e12)
+            s[:, :5] = np.array([0.75, 0.0, 0.0, 0.75])[:, None]
+            return s
+        monkeypatch.setattr(hill, "_monodromy_batch", batch)
+        with pytest.raises(ResolutionError):
+            periodic_spectrum(1.0, 5, 120)
+
+    def test_hill_command_integrates_once(self, monkeypatch, tmp_path):
+        calls = []
+        solve_ivp = hill.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(hill, "solve_ivp", counted)
+        monkeypatch.chdir(tmp_path)
+        assert main(["hill", "--alpha", "1", "--count", "40"]) == 0
+        assert calls == [4 * (40 + 120)]
 
     def test_band_structure_sign_scan(self):
         # Delta^2 >= 4 exactly off the bands located by the spectrum
