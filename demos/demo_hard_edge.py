@@ -7,13 +7,15 @@ square of a Hankel operator with symbol e^{-s} J_nu(e^{-s}), so the gap
 determinant has two unrelated computations: the Bessel kernel on (0, a) and
 the shifted Hankel square on the half-line.  The unitary involution behind
 the structure is conjugate to the Hankel transform, and its symbol on the
-Fourier side is the unimodular Gamma-function ratio.
+Fourier side is the unimodular Gamma-function ratio u_nu: G = J M_u, the flip
+composed with multiplication by u_nu.
 """
 
 import numpy as np
 
 from rmedge import (HardEdgeConfig, bessel_det_identity, g_involution_check,
                     hankel_involution_check, phi_eigen_correspondence, u_nu_eval)
+from rmedge.hardedge import _apply_g_fourier, apply_g
 
 # --- the determinant identity -----------------------------------------------
 print("det(I - z F_(0,a)) vs det(I - z Phi_alpha^2):")
@@ -29,9 +31,15 @@ f = lambda y: y ** nu * np.exp(-y * y)
 print("\ndouble Hankel transform recovers the input to",
       hankel_involution_check(nu, [f]))
 
-dev = g_involution_check(nu, 0.0,
-                         [lambda e: np.exp(-4.0 * np.asarray(e) ** 2)])
-print("log-variable involution G(G f) = f to", dev)
+bump = lambda e: np.exp(-4.0 * np.asarray(e) ** 2)
+print("log-variable involution G(G f) = f to", g_involution_check(nu, 0.0, [bump]))
+
+# G is J M_u: by FFT, G f multiplies the flipped transform of f by u_nu
+eta = -2.0 + 0.05 * np.arange(-60, 1240)  # [-5, 60); [-2, 5] is nodes 60..200
+via_u = _apply_g_fourier(nu, 0.0, bump(eta), eta[0], 0.05)[60:201]
+quad = apply_g(nu, 0.0, bump, eta[60:201], y_lo=np.exp(-3.0), y_hi=np.exp(3.0))
+print("G f through u_nu by FFT vs panel quadrature on [-2, 5]:",
+      np.abs(via_u - quad).max())
 
 # --- eigenfunction correspondence across the substitution --------------------
 res = phi_eigen_correspondence(0.5, 1.0, n=60)

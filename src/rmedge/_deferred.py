@@ -1,7 +1,7 @@
 """SciPy imported at its first use, so importing rmedge loads numpy only; no other module
-imports SciPy.  ``scipy.special``, ``scipy.linalg`` and ``scipy.interpolate`` load at the
-first read of one of their functions, ``scipy.integrate`` (with ``scipy.linalg``,
-``scipy.optimize`` and ``scipy.sparse``) at the first ODE solve."""
+imports SciPy.  ``scipy.special`` and ``scipy.linalg`` load at the first read of one of
+their functions, ``scipy.integrate`` (with ``scipy.linalg``, ``scipy.optimize`` and
+``scipy.sparse``) at the first ODE solve."""
 import importlib
 
 
@@ -22,7 +22,6 @@ class _Module:
 
 special = _Module("scipy.special")
 linalg = _Module("scipy.linalg")
-interpolate = _Module("scipy.interpolate")
 
 
 def solve_ivp(*args, **kwargs):

@@ -193,9 +193,10 @@ def bessel_j(nu, x):
 
 
 def log_gamma_complex(z):
-    """Principal branch of log Gamma on the right half-plane Re z > 0."""
-    z = complex(z)
-    if not z.real > 0:
+    """Principal branch of log Gamma on Re z > 0, elementwise; a scalar gives a complex."""
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    if not np.all(z.real > 0):
         raise ValueError("log_gamma_complex is restricted to Re z > 0")
-    return complex(_sp.loggamma(z))
+    lg = _sp.loggamma(z)
+    return complex(lg) if isinstance(z, complex) else lg
 

@@ -114,8 +114,9 @@ def test_tw_dual_route_is_the_public_determinant_route(monkeypatch):
 
 
 @pytest.mark.parametrize("module,check,solves", [
-    # criterion 7: four spectra, the |det S - 1| stack and the two kernels' spectra
-    (hill, acceptance._hill_mathieu, 6),
+    # criterion 7: three spectra (the alpha = 1 one serves the Fourier oracle and
+    # the Hochstadt trend), the |det S - 1| stack and the two kernels' spectra
+    (hill, acceptance._hill_mathieu, 5),
     # criterion 3: one Painleve II solve per t for F on xs and w on xs2
     (painleve, acceptance._tw_dual_route, 2),
 ], ids=["criterion_07", "criterion_03"])

@@ -125,6 +125,36 @@ class TestGInvolution:
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
+def _bump(eta):
+    return np.exp(-4.0 * np.asarray(eta, dtype=float) ** 2)
+
+
+BUMP_CASES = [(nu, ell) for nu in (-0.3, 0.5, 1.5) for ell in (0.0, 0.7)]
+
+
+class TestGFourierRoute:
+    @pytest.mark.parametrize("nu,ell", BUMP_CASES)
+    def test_matches_the_quadrature_at_the_nodes(self, nu, ell):
+        # G f through u_nu from samples on the check's grid of [-5 - l, 60 - l),
+        # against apply_g's panel quadrature at the 141 nodes of [-2, 5]
+        h, left = 0.05, round((3.0 + ell) / 0.05)
+        eta = -2.0 + h * np.arange(-left, 1300 - left)
+        inside = slice(left, left + 141)
+        via_u = hardedge._apply_g_fourier(nu, ell, _bump(eta), eta[0], h)[inside]
+        quad = apply_g(nu, ell, _bump, eta[inside], y_lo=math.exp(-3.0), y_hi=math.exp(3.0))
+        assert np.abs(via_u - quad).max() < 1e-12
+
+    @pytest.mark.parametrize("nu,ell", BUMP_CASES)
+    def test_involution_to_rounding(self, nu, ell):
+        assert g_involution_check(nu, ell, [_bump]) <= 1e-12
+
+    def test_wider_bump_is_limited_by_the_left_cut(self):
+        # G f of e^{-2(eta - 1/2)^2} is still 1.2e-7 at the grid's left end -5
+        def wide(eta):
+            return np.exp(-2.0 * (np.asarray(eta, dtype=float) - 0.5) ** 2)
+        assert g_involution_check(0.5, 0.0, [wide]) < 1.93e-8
+
+
 class TestBesselDetIdentity:
     def test_z_zero(self):
         lhs, rhs, gap = bessel_det_identity(HardEdgeConfig(nu=0.5, a=0.5), 0.0, n=40)
@@ -190,6 +220,15 @@ class TestUnimodularSymbol:
 
     def test_unimodular(self):
         assert abs(abs(u_nu_eval(0.3, 2.7)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("nu", [-0.3, 0.3, 1.0, 1.5])
+    def test_array_is_the_scalar_calls_bit_for_bit(self, nu):
+        # the 50-point grid of criterion 10 and the frequencies of the Fourier route
+        x = np.concatenate([np.linspace(-10.0, 10.0, 50),
+                            2.0 * math.pi * np.fft.rfftfreq(1300, 0.05)])
+        u = u_nu_eval(nu, x)
+        assert np.array_equal(u, [u_nu_eval(nu, xi) for xi in x])
+        assert type(u_nu_eval(nu, 2.0)) is complex
 
     def test_matches_gamma_definition(self):
         nu, x = 0.8, 1.9

@@ -2,10 +2,11 @@
 
 scipy.special loads at the first special-function evaluation, so ``det`` and
 ``gap`` with the sine kernel load no SciPy at all.  scipy.integrate (with
-scipy.linalg, scipy.optimize and scipy.sparse) and scipy.interpolate load at
-the first call that needs them, so the short commands never pay for them; only
-``g_involution_check`` loads scipy.interpolate.  Each check runs in a fresh
-interpreter.
+scipy.linalg, scipy.optimize and scipy.sparse) loads at the first call that
+needs it, so the short commands never pay for it.  Nothing loads
+scipy.interpolate, not even ``g_involution_check``, which applies the
+involution by FFT; it stays in DEFERRED so every check still looks for it.
+Each check runs in a fresh interpreter.
 """
 import json
 import os
@@ -77,4 +78,11 @@ def test_hankel_involution_criterion_loads_no_interpolation(tmp_path):
     code = ("from rmedge.acceptance import CRITERIA\n"
             "ok, _ = next(c[2] for c in CRITERIA if c[0] == 10)()\n"
             "assert ok\n")
+    assert "scipy.interpolate" not in deferred_loaded_after(code, tmp_path)
+
+
+def test_g_involution_check_loads_no_interpolation(tmp_path):
+    code = ("import numpy as np\n"
+            "from rmedge.hardedge import g_involution_check\n"
+            "g_involution_check(0.5, 0.0, [lambda e: np.exp(-4.0 * e * e)])\n")
     assert "scipy.interpolate" not in deferred_loaded_after(code, tmp_path)

@@ -350,6 +350,17 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             log_gamma_complex(-1.0 + 2.0j)
 
+    def test_array_is_the_scalar_calls_bit_for_bit(self):
+        z = np.array([0.75 + 1.0j, 2.0 - 3.0j, 0.25 + 0.1j, 4.2])
+        lg = log_gamma_complex(z)
+        assert np.array_equal(lg, [log_gamma_complex(w) for w in z])
+        assert type(log_gamma_complex(0.75 + 1.0j)) is complex
+
+    @pytest.mark.parametrize("bad", [0.0 + 2.0j, -1.0 + 2.0j])
+    def test_array_with_any_point_off_the_half_plane_rejected(self, bad):
+        with pytest.raises(ValueError, match="restricted to Re z > 0"):
+            log_gamma_complex(np.array([1.0 + 1.0j, bad, 2.0]))
+
     def test_unimodular_ratio(self):
         # |2^{ix} Gamma((1+nu+ix)/2) / Gamma((1+nu-ix)/2)| = 1 on the real line
         assert abs(abs(u_nu_eval(0.5, 2.0)) - 1.0) < 1e-12
