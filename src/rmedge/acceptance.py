@@ -174,19 +174,12 @@ def _gap_probabilities():
     gamma = sym_eigen(discretize(airy_symbol_kernel(), (0.0, math.inf), 60))
     g2 = gap_probs(gamma, 60, squared=True)
     sum_dev_airy = abs(float(g2.probs.sum()) - 1.0)
-    # z-differentiation oracle: Chebyshev-type polynomial fit of det(I - zK)
-    # around z = 1, derivatives at 1
+    # z-differentiation oracle: E(k) = (-1)^k / k! d^k/dz^k det(I - zK) at z = 1,
+    # which is (-1)^k times the k-th coefficient of a polynomial fit around z = 1
     zs = np.linspace(0.4, 1.6, 25)
     dets = np.array([checked_log_det(spectrum, z).value for z in zs])
     coef = np.polynomial.polynomial.polyfit(zs - 1.0, dets, 12)
-    deriv_dev = 0.0
-    fact = 1.0
-    for k in range(4):
-        if k > 0:
-            fact *= k
-        dk = coef[k] * fact  # k-th derivative at z=1
-        ek = (-1.0) ** k / fact * dk
-        deriv_dev = max(deriv_dev, abs(ek - g.probs[k]))
+    deriv_dev = np.abs((-1.0) ** np.arange(4) * coef[:4] - g.probs[:4]).max()
     ok = sum_dev_sine < 1e-10 and sum_dev_airy < 1e-10 and deriv_dev < 1e-7
     return ok, (f"sum E(k) deviation: sine {sum_dev_sine:.2e}, Airy-square "
                 f"{sum_dev_airy:.2e} (tol 1e-10); z-derivative match {deriv_dev:.2e} (tol 1e-7)")

@@ -6,7 +6,7 @@ and independent samples can be drawn in parallel.  GUE and real Wishart draws
 are the Dumitriu-Edelman beta = 2 Hermite and beta = 1 Laguerre tridiagonal
 models, whose eigenvalues have the joint law of the dense draws (``gue_matrix``
 and ``gaussian_stream``, Box-Muller normals, are the reference).  Soft-edge gap
-counts count Hermite eigenvalues above the cut by bisection.
+counts count Hermite eigenvalues above the cut by a Sturm count, not an eigensolve.
 """
 
 import math
@@ -159,12 +159,22 @@ def sample_wishart_eigs(n, seed, sample_index=0):
                           eigenvalues=lam, scaled_edge=None)
 
 
+def _count_below(d, e, s):
+    """Eigenvalues of the symmetric tridiagonal (d, e) below s: negative pivots of T - s =
+    L D L^T, the count LAPACK's bisection reads, a zero one negative as in ``dlaneg``."""
+    count, q = 0, 1.0
+    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+        q = (di - e2 / q - s) or -math.ulp(0.0)
+        count += q < 0.0
+    return count
+
+
 def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
     """Empirical probabilities that (alpha, inf) holds exactly k scaled points.
 
     Draw ``idx`` is ``hermite_tridiagonal(n, seed, idx)``; its scaled points
-    above alpha are its eigenvalues above 2 + alpha n^{-2/3}, counted by
-    bisection.
+    above alpha are its eigenvalues above 2 + alpha n^{-2/3}, n less the Sturm
+    count below that cut.  Every draw is made at every cut, +-inf included.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -177,20 +187,9 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
     _check_key(seed, samples - 1)
     t0 = time.perf_counter()
     cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)
-    counts = np.zeros(kmax + 1, dtype=np.int64)
-    overflow = 0
-    for idx in range(samples):
-        if cut == math.inf:  # stebz rejects an empty (inf, inf] window
-            k = 0
-        else:
-            d, e = hermite_tridiagonal(n, seed, idx)
-            k = eigvalsh_tridiagonal(d, e, select="v",
-                                     select_range=(cut, math.inf)).size
-        if k <= kmax:
-            counts[k] += 1
-        else:
-            overflow += 1
-    probs = counts / samples
+    counts = np.bincount([n - _count_below(*hermite_tridiagonal(n, seed, idx), cut)
+                          for idx in range(samples)], minlength=kmax + 1)
+    probs = counts[:kmax + 1] / samples
     se = np.sqrt(probs * (1.0 - probs) / samples)
     manifest = {
         "ensemble": "gue",
@@ -200,7 +199,7 @@ def soft_edge_gap_counts(n, samples, alpha, seed, kmax=8):
         "alpha": float(alpha),
         "seed": int(seed),
         "kmax": kmax,
-        "overflow_count": int(overflow),
+        "overflow_count": int(counts[kmax + 1:].sum()),
         "wall_time_s": time.perf_counter() - t0,
     }
     return GapCountResult(alpha=float(alpha), probs=probs, std_errors=se,

@@ -136,15 +136,14 @@ def g_involution_check(nu, ell, test_functions):
     """Max |G(G f) - f| on 36 points of [-2, 5], for decaying test functions f.
 
     The first G is the quadrature of ``apply_g`` on the step-0.05 grid of
-    [-5 - l, 60 - l), which holds every check point as a node; the second is
-    the Fourier route through u_nu on the same grid, which wraps what the grid
-    cuts off (G f decays like e^{-(1+nu) xi} on the right).  Test functions
-    must be concentrated like Gaussian bumps; eigenfunction-like inputs whose
-    image is distributional are outside the admissible class.
+    [-5 - l, 60 - l), widened by 1 to the left while |G f| there exceeds 1e-12
+    of its max (``TruncationError`` beyond -9 - l); the second is the Fourier
+    route through u_nu on the same grid, which wraps what the grid cuts off
+    (G f decays like e^{-(1+nu) xi} on the right).  Test functions must be
+    concentrated like Gaussian bumps; eigenfunction-like inputs whose image is
+    distributional are outside the admissible class.
     """
     h = 0.05
-    left = round((3.0 + ell) / h)
-    eta = -2.0 + h * np.arange(-left, 1300 - left)
     grid = np.linspace(-2.0, 5.0, 36)
     worst = 0.0
     for f in test_functions:
@@ -152,10 +151,18 @@ def g_involution_check(nu, ell, test_functions):
         probe = np.linspace(-9.0, 9.0, 361)
         fp = np.abs(np.asarray(f(probe)))
         alive = probe[fp > 1e-13 * fp.max()]
-        y_sup_lo = math.exp(-float(alive[-1]) - 0.1)
-        y_sup_hi = math.exp(-float(alive[0]) + 0.1)
-        g_vals = apply_g(nu, ell, f, eta, y_lo=y_sup_lo, y_hi=y_sup_hi)
-        gg = _apply_g_fourier(nu, ell, g_vals, eta[0], h)[left:left + 144:4]
+        sup = {"y_lo": math.exp(-float(alive[-1]) - 0.1),
+               "y_hi": math.exp(-float(alive[0]) + 0.1)}
+        left = start = round((3.0 + ell) / h)
+        g_vals = apply_g(nu, ell, f, -2.0 + h * np.arange(-left, 1300 - left), **sup)
+        while abs(g_vals[0]) > 1e-12 * np.abs(g_vals).max():
+            if left == start + 80:
+                raise TruncationError(f"G f is {abs(g_vals[0]) / np.abs(g_vals).max():.2e} "
+                                      "of its max at the left end -9 - l")
+            left += 20  # a node's value depends on that node alone, as on a wider grid
+            g_vals = np.append(apply_g(nu, ell, f, -2.0 + h * np.arange(-left, 20 - left),
+                                       **sup), g_vals)
+        gg = _apply_g_fourier(nu, ell, g_vals, -2.0 - h * left, h)[left:left + 144:4]
         worst = max(worst, float(np.abs(gg - np.asarray(f(grid))).max()))
     return worst
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from rmedge import acceptance, hardedge, hill, kernels, linop, painleve
+from rmedge import acceptance, ensembles, hardedge, hill, kernels, linop, painleve
 from rmedge.acceptance import CRITERIA
 from rmedge.specfun import airy
 
@@ -144,3 +144,18 @@ def test_airy_product_identity_reads_the_kernel_at_its_nodes(monkeypatch):
     monkeypatch.setattr(kernels, "airy", counted)
     assert acceptance._airy_product_identity()[0]
     assert sum(points) == 12
+
+
+def test_monte_carlo_eigensolves_only_the_bulk_draws(monkeypatch):
+    # criterion 9 counts its 2000 soft-edge draws by Sturm counts; its tridiagonal
+    # eigensolves are the 2 reproducibility draws and the 1000 bulk draws, all full spectra
+    calls = []
+    solve = ensembles.eigvalsh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "eigvalsh_tridiagonal", counted)
+    assert acceptance._monte_carlo_soft_edge()[0]
+    assert len(calls) == 1002 and not any(calls)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import ks_2samp
@@ -210,14 +212,14 @@ class TestHermiteTridiagonal:
             assert np.array_equal(res.probs, want)
 
     def test_selected_count_matches_full_spectrum(self):
+        # the Sturm count below the cut leaves the eigenvalues above it
         rng = np.random.default_rng(0)
         for idx in range(30):
             n = int(rng.integers(2, 60))
             d, e = hermite_tridiagonal(n, 4, idx)
             cut = float(rng.uniform(1.5, 2.3))
-            sel = eigvalsh_tridiagonal(d, e, select="v", select_range=(cut, math.inf))
             full = eigvalsh_tridiagonal(d, e)
-            assert sel.size == np.count_nonzero(full > cut)
+            assert n - ensembles._count_below(d, e, cut) == np.count_nonzero(full > cut)
 
     def test_trace_moments(self):
         # E tr H = 0 and E tr H^2 = n, as for the dense GUE draw
@@ -244,22 +246,49 @@ class TestHermiteTridiagonal:
             hermite_tridiagonal(1, 0)
 
     @pytest.mark.parametrize("alpha", [-2.0, 0.0, 1.0])
-    def test_bulk_draw_counts_what_the_soft_edge_counts(self, monkeypatch, alpha):
+    def test_bulk_draw_counts_what_the_soft_edge_counts(self, alpha):
+        # with kmax = n nothing overflows, so the tally is every draw's count
         n, seed, samples = 40, 17, 30
-        counted = []
-
-        def spy(*args, **kwargs):
-            w = eigvalsh_tridiagonal(*args, **kwargs)
-            counted.append(w.size)
-            return w
-
-        monkeypatch.setattr(ensembles, "eigvalsh_tridiagonal", spy)
-        soft_edge_gap_counts(n, samples, alpha, seed=seed)
-        monkeypatch.undo()
         cut = 2.0 + alpha * float(n) ** (-2.0 / 3.0)
         bulk = [int(np.count_nonzero(sample_gue_eigs(n, seed, i).eigenvalues > cut))
                 for i in range(samples)]
-        assert counted == bulk
+        tally = soft_edge_gap_counts(n, samples, alpha, seed=seed, kmax=n).probs * samples
+        assert np.array_equal(tally, np.bincount(bulk, minlength=n + 1))
+
+
+class TestCountBelow:
+    def test_counts_of_criterion_9_draws_match_the_full_spectrum(self):
+        # the first 200 of criterion 9's soft-edge draws (n = 200), at its cut 2
+        for idx in range(200):
+            d, e = hermite_tridiagonal(200, MC_SEED, idx)
+            want = np.count_nonzero(eigvalsh_tridiagonal(d, e) < 2.0)
+            assert ensembles._count_below(d, e, 2.0) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+               st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+                        min_size=n - 1, max_size=n - 1))),
+           st.floats(-5.0, 5.0))
+    def test_small_tridiagonals_match_lapack(self, de, s):
+        d, e = np.array(de[0]), np.array(de[1])
+        lam = eigvalsh_tridiagonal(d, e)
+        assume(np.abs(lam - s).min() > 1e-9 * (1.0 + np.abs(lam).max()))
+        assert ensembles._count_below(d, e, s) == np.count_nonzero(lam < s)
+
+    @pytest.mark.parametrize("d, e, s", [([1.0, 2.0, 0.5], [0.7, 0.3], 1.0),
+                                         ([3.0, 3.0, 1.0], [1.0, 1.0], 2.0)])
+    def test_exact_zero_pivot_counts_as_negative(self, d, e, s):
+        # the first pivot d0 - s, or the second d1 - e0^2 / q0 - s, is exactly 0
+        d, e = np.array(d), np.array(e)
+        got = ensembles._count_below(d, e, s)
+        lapack = eigvalsh_tridiagonal(d, e, select="v", select_range=(-math.inf, s)).size
+        assert got == lapack == np.count_nonzero(eigvalsh_tridiagonal(d, e) < s)
+
+    def test_infinite_shifts_count_nothing_or_everything(self):
+        d, e = hermite_tridiagonal(30, 8, 2)
+        assert ensembles._count_below(d, e, math.inf) == 30
+        assert ensembles._count_below(d, e, -math.inf) == 0
 
 
 class TestChi2:
@@ -326,13 +355,19 @@ class TestGapCountArguments:
         with pytest.raises(ValueError, match="kmax must be nonnegative"):
             soft_edge_gap_counts(20, 5, 0.0, seed=1, kmax=kmax)
 
-    def test_infinite_cut_sees_nothing_without_lapack(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [math.inf, 0.0, -2.0])
+    def test_every_cut_counts_without_lapack(self, monkeypatch, alpha):
+        # every cut, +inf included, takes the one Sturm count per draw
         def no_lapack(*args, **kwargs):
             raise AssertionError("eigensolver called")
 
         monkeypatch.setattr(ensembles, "eigvalsh_tridiagonal", no_lapack)
-        res = soft_edge_gap_counts(20, 10, math.inf, seed=1)
-        assert res.probs[0] == 1.0
+        res = soft_edge_gap_counts(20, 10, alpha, seed=1, kmax=20)
+        monkeypatch.undo()
+        cut = 2.0 + alpha * 20.0 ** (-2.0 / 3.0)
+        above = [np.count_nonzero(sample_gue_eigs(20, 1, i).eigenvalues > cut)
+                 for i in range(10)]
+        assert np.array_equal(res.probs, np.bincount(above, minlength=21) / 10)
 
     def test_minus_infinity_counts_every_eigenvalue(self):
         res = soft_edge_gap_counts(6, 10, -math.inf, seed=1)

@@ -148,11 +148,24 @@ class TestGFourierRoute:
     def test_involution_to_rounding(self, nu, ell):
         assert g_involution_check(nu, ell, [_bump]) <= 1e-12
 
-    def test_wider_bump_is_limited_by_the_left_cut(self):
-        # G f of e^{-2(eta - 1/2)^2} is still 1.2e-7 at the grid's left end -5
+    def test_wider_bump_widens_the_left_cut(self):
+        # G f of e^{-2(eta - 1/2)^2} is still 1.2e-7 at -5, so the grid widens to -7
         def wide(eta):
             return np.exp(-2.0 * (np.asarray(eta, dtype=float) - 0.5) ** 2)
-        assert g_involution_check(0.5, 0.0, [wide]) < 1.93e-8
+        assert g_involution_check(0.5, 0.0, [wide]) <= 1e-12
+
+    def test_image_that_never_decays_is_refused(self, monkeypatch):
+        # four widenings of 20 nodes reach -9 - l, the edge of the support probe
+        sizes = []
+
+        def flat(nu, ell, f, xi, **kwargs):
+            sizes.append(len(xi))
+            return np.ones(len(xi))
+
+        monkeypatch.setattr(hardedge, "apply_g", flat)
+        with pytest.raises(TruncationError, match="left end"):
+            g_involution_check(0.5, 0.7, [_bump])
+        assert sizes == [1300, 20, 20, 20, 20]
 
 
 class TestBesselDetIdentity:

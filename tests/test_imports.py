@@ -3,7 +3,9 @@
 scipy.special loads at the first special-function evaluation, so ``det`` and
 ``gap`` with the sine kernel load no SciPy at all.  scipy.integrate (with
 scipy.linalg, scipy.optimize and scipy.sparse) loads at the first call that
-needs it, so the short commands never pay for it.  Nothing loads
+needs it, so the short commands never pay for it.  ``sample`` counts its
+eigenvalues above the cut by a Sturm count, with no eigensolve, so it loads
+scipy.special only (for its prediction) and no scipy.linalg.  Nothing loads
 scipy.interpolate, not even ``g_involution_check``, which applies the
 involution by FFT; it stays in DEFERRED so every check still looks for it.
 Each check runs in a fresh interpreter.
@@ -86,3 +88,10 @@ def test_g_involution_check_loads_no_interpolation(tmp_path):
             "from rmedge.hardedge import g_involution_check\n"
             "g_involution_check(0.5, 0.0, [lambda e: np.exp(-4.0 * e * e)])\n")
     assert "scipy.interpolate" not in deferred_loaded_after(code, tmp_path)
+
+
+def test_sample_loads_no_linear_algebra(tmp_path):
+    code = ("from rmedge.cli import main\n"
+            "assert main(['sample', '--n', '50', '--samples', '20', '--seed', '7',\n"
+            "             '--alpha', '1', '--kmax', '8']) == 0\n")
+    assert deferred_loaded_after(code, tmp_path) == []
